@@ -7,9 +7,14 @@ moments of the uniform distribution:
 
     E[C^-n] = (1 - theta^(1-n)) / (C_bar^n * (1 - theta) * (1 - n))
 
-and similarly with 2n for the second moment.  theta = 1 is the
-deterministic limit (plain BPR, zero variance); to stay clear of the
-0/0 at theta -> 1 the limit branch is taken whenever |1 - theta| < 1e-9.
+and similarly with 2n for the second moment, so E[T] = t0 + a_mean v^n
+and Var[T] = a_var v^(2n) with a_mean = beta t0 E[C^-n] and
+a_var = (beta t0)^2 (E[C^-2n] - E[C^-n]^2).  ``link_coefficients``
+computes (t0, a_mean, a_var) for many links at once and holds the only
+theta -> 1 branch: theta = 1 is the deterministic limit (plain BPR, zero
+variance), taken for each link with |1 - theta| < 1e-9 to stay clear of
+the 0/0.  Every other function here, and the solver's compiled problem,
+reads its output.
 
 Route moments aggregate link moments under independence: means add,
 variances add, sigma = sqrt of the variance sum.
@@ -23,8 +28,8 @@ import numpy as np
 
 from .network import Link, Network, RouteSet
 
-__all__ = ["BprParams", "RouteMoments", "bpr_time", "link_mean", "link_var",
-           "link_moments_vector", "route_moments"]
+__all__ = ["BprParams", "RouteMoments", "bpr_time", "link_coefficients", "link_mean",
+           "link_var", "link_moments_vector", "route_moments"]
 
 THETA_LIMIT_EPS = 1e-9
 
@@ -59,23 +64,31 @@ def _inv_cap_moment(theta, cap, order):
     return (1.0 - theta ** (1 - order)) / (cap ** order * (1.0 - theta) * (1 - order))
 
 
+def link_coefficients(links: tuple[Link, ...], p: BprParams):
+    """Per-link arrays (t0, a_mean, a_var) of the moment polynomials."""
+    t0, cap, theta = np.array([(l.t0, l.cap_design, l.theta) for l in links],
+                              dtype=float).reshape(-1, 3).T
+    bt = p.beta * t0
+    a_mean = bt / cap ** p.n  # theta = 1: plain BPR
+    a_var = np.zeros_like(bt)
+    d = 1.0 - theta >= THETA_LIMIT_EPS
+    m1 = _inv_cap_moment(theta[d], cap[d], p.n)
+    m2 = _inv_cap_moment(theta[d], cap[d], 2 * p.n)
+    a_mean[d] = bt[d] * m1
+    a_var[d] = bt[d] ** 2 * (m2 - m1 ** 2)
+    return t0, a_mean, a_var
+
+
 def link_mean(link: Link, v, p: BprParams):
     """Expected travel time under degradable capacity."""
-    if 1.0 - link.theta < THETA_LIMIT_EPS:
-        return bpr_time(link, v, link.cap_design, p)
-    v = np.asarray(v, dtype=float)
-    return link.t0 + p.beta * link.t0 * v ** p.n * _inv_cap_moment(
-        link.theta, link.cap_design, p.n)
+    t0, a_mean, _ = link_coefficients((link,), p)
+    return t0[0] + a_mean[0] * np.asarray(v, dtype=float) ** p.n
 
 
 def link_var(link: Link, v, p: BprParams):
     """Travel time variance under degradable capacity (0 when theta = 1)."""
-    v = np.asarray(v, dtype=float)
-    if 1.0 - link.theta < THETA_LIMIT_EPS:
-        return np.zeros_like(v) if v.ndim else 0.0
-    m1 = _inv_cap_moment(link.theta, link.cap_design, p.n)
-    m2 = _inv_cap_moment(link.theta, link.cap_design, 2 * p.n)
-    return (p.beta * link.t0) ** 2 * v ** (2 * p.n) * (m2 - m1 ** 2)
+    _, _, a_var = link_coefficients((link,), p)
+    return a_var[0] * np.asarray(v, dtype=float) ** (2 * p.n)
 
 
 def link_moments_vector(net: Network, v: np.ndarray, p: BprParams):
@@ -84,9 +97,8 @@ def link_moments_vector(net: Network, v: np.ndarray, p: BprParams):
     if v.shape != (net.n_links,):
         raise ValueError(f"link-flow vector has shape {v.shape}, "
                          f"expected ({net.n_links},)")
-    means = np.array([link_mean(l, v[i], p) for i, l in enumerate(net.links)])
-    variances = np.array([link_var(l, v[i], p) for i, l in enumerate(net.links)])
-    return means, variances
+    t0, a_mean, a_var = link_coefficients(net.links, p)
+    return t0 + a_mean * v ** p.n, a_var * v ** (2 * p.n)
 
 
 def route_moments(net: Network, rs: RouteSet, v: np.ndarray, p: BprParams) -> RouteMoments:

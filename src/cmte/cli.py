@@ -22,7 +22,7 @@ from .bpr import BprParams
 from .montecarlo import RNG_ALGORITHM, McConfig, oracle_report
 from .network import (Network, NetworkParseError, NetworkValidationError,
                       build_route_set, load_network)
-from .scenario import Scenario, ScenarioError, emit_results, run_scenario, _fmt
+from .scenario import Scenario, ScenarioError, emit_results, fmt_float, run_scenario
 from .solver import SolverError
 
 EXIT_OK = 0
@@ -36,41 +36,31 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cmte",
         description="Alpha-reliable combined-mean traffic equilibrium solver")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, scenario=True):
+    solve = sub.add_parser("solve", help="solve a single equilibrium point")
+    sweep = sub.add_parser("sweep", help="run the full scenario sweep")
+    verify = sub.add_parser("verify", help="run the Monte-Carlo oracle suite")
+    routes = sub.add_parser("routes", help="dump the enumerated routes")
+    for p in (solve, sweep, verify, routes):
         p.add_argument("--network", required=True, help="network file path")
-        if scenario:
-            p.add_argument("--scenario", help="scenario JSON path (defaults used if omitted)")
+    for p in (solve, sweep, verify):
+        p.add_argument("--scenario", help="scenario JSON path (defaults used if omitted)")
         p.add_argument("--out", help="output directory (default: print summary)")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (verify only)")
+    for p in (solve, sweep):
         p.add_argument("--max-iter", type=int, help="override solver iteration cap")
         p.add_argument("--tol", type=float, help="override solver tolerance")
-
-    common(sub.add_parser("solve", help="solve a single equilibrium point"))
-    common(sub.add_parser("sweep", help="run the full scenario sweep"))
-    common(sub.add_parser("verify", help="run the Monte-Carlo oracle suite"))
-    common(sub.add_parser("routes", help="dump the enumerated routes"), scenario=False)
-    for p in sub.choices.values():
-        if "verify" in p.prog:
-            p.add_argument("--samples", type=int, default=10 ** 6,
-                           help="Monte-Carlo sample count per claim")
+    verify.add_argument("--seed", type=int, default=0, help="RNG seed")
+    verify.add_argument("--samples", type=int, default=10 ** 6,
+                        help="Monte-Carlo sample count per claim")
     return parser
 
 
 def _load_inputs(args) -> tuple[Network, Scenario]:
+    """Network and scenario, with any --max-iter/--tol override applied."""
     net = load_network(Path(args.network).read_text())
-    if getattr(args, "scenario", None):
-        sc = Scenario.from_json(Path(args.scenario).read_text())
-    else:
-        sc = Scenario()
-    overrides = {}
-    if args.max_iter is not None:
-        overrides["max_iter"] = args.max_iter
-    if args.tol is not None:
-        overrides["tol"] = args.tol
-    if overrides:
-        sc = replace(sc, solver=replace(sc.solver, **overrides))
-    return net, sc
+    sc = Scenario.from_json(Path(args.scenario).read_text()) if args.scenario else Scenario()
+    overrides = {key: value for key in ("max_iter", "tol")
+                 if (value := getattr(args, key, None)) is not None}
+    return net, replace(sc, solver=replace(sc.solver, **overrides))
 
 
 def _cmd_solve(args) -> int:
@@ -81,9 +71,9 @@ def _cmd_solve(args) -> int:
     row = res.rows[0]
     if args.out:
         emit_results(res, args.out)
-    print(f"lambda={_fmt(row.lam)} Q={_fmt(row.demand)} Theta={_fmt(row.theta)} "
-          f"ANTT={_fmt(row.antt)} iters={row.iterations} "
-          f"residual={_fmt(row.residual)} converged={row.converged}")
+    print(f"lambda={fmt_float(row.lam)} Q={fmt_float(row.demand)} "
+          f"Theta={fmt_float(row.theta)} ANTT={fmt_float(row.antt)} iters={row.iterations} "
+          f"residual={fmt_float(row.residual)} converged={row.converged}")
     return EXIT_OK if row.converged else EXIT_NO_CONVERGENCE
 
 
@@ -94,8 +84,8 @@ def _cmd_sweep(args) -> int:
         emit_results(res, args.out)
     else:
         for row in res.rows:
-            print(f"lambda={_fmt(row.lam)} Q={_fmt(row.demand)} "
-                  f"Theta={_fmt(row.theta)} ANTT={_fmt(row.antt)} "
+            print(f"lambda={fmt_float(row.lam)} Q={fmt_float(row.demand)} "
+                  f"Theta={fmt_float(row.theta)} ANTT={fmt_float(row.antt)} "
                   f"converged={row.converged}")
     failed = sum(1 for row in res.rows if not row.converged)
     if failed:
@@ -111,7 +101,7 @@ def _cmd_verify(args) -> int:
     rows, ok = oracle_report(net, sc.bpr, cfg)
     lines = [f"# rng={RNG_ALGORITHM} seed={args.seed} samples={args.samples}",
              "claim\tclosed_form\testimate\tstandard_error\tstatus"]
-    lines += [f"{claim}\t{_fmt(cf)}\t{_fmt(est)}\t{_fmt(se)}\t{status}"
+    lines += [f"{claim}\t{fmt_float(cf)}\t{fmt_float(est)}\t{fmt_float(se)}\t{status}"
               for claim, cf, est, se, status in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -132,7 +122,7 @@ def _cmd_routes(args) -> int:
         od = net.od_pairs[r.od_index]
         t0 = sum(net.link_by_id(lid).t0 for lid in r.link_ids)
         links = "-".join(str(lid) for lid in r.link_ids)
-        print(f"{k}\t{od.origin}\t{od.destination}\t{links}\t{_fmt(t0)}")
+        print(f"{k}\t{od.origin}\t{od.destination}\t{links}\t{fmt_float(t0)}")
     return EXIT_OK
 
 

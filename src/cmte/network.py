@@ -170,9 +170,6 @@ class RouteSet:
     def n_routes(self) -> int:
         return len(self.routes)
 
-    def routes_of_od(self, od_index: int) -> list[int]:
-        return [k for k, r in enumerate(self.routes) if r.od_index == od_index]
-
 
 @dataclass(frozen=True)
 class FeasibilityReport:
@@ -270,10 +267,6 @@ def enumerate_routes(net: Network, max_routes_per_od: int, max_hops: int) -> Rou
                     visited.remove(l.head)
 
         dfs(od.origin, {od.origin}, [], 0.0)
-        if not found and od.demand > 0:
-            raise NetworkValidationError(
-                f"OD {od.origin}->{od.destination} has demand {od.demand} "
-                f"but no route within {max_hops} hops")
         found.sort(key=lambda fr: (fr[0], fr[1]))
         routes.extend(Route(oi, ids) for _, ids in found[:max_routes_per_od])
     return _assemble_route_set(net, routes)
@@ -281,7 +274,8 @@ def enumerate_routes(net: Network, max_routes_per_od: int, max_hops: int) -> Rou
 
 def build_route_set(net: Network, max_routes_per_od: int = 50,
                     max_hops: int | None = None) -> RouteSet:
-    """RouteSet from the network's explicit routes if present, else enumeration."""
+    """RouteSet from the network's explicit routes if present, else enumeration;
+    NetworkValidationError if an OD pair with positive demand gets no route."""
     if net.preset_routes:
         routes = [Route(_od_of_sequence(net, seq), seq) for seq in net.preset_routes]
         return _assemble_route_set(net, routes)
@@ -308,6 +302,10 @@ def _assemble_route_set(net: Network, routes: list[Route]) -> RouteSet:
         for lid in r.link_ids:
             delta[net.link_index(lid), k] = 1.0
         lam[r.od_index, k] = 1.0
+    for od, n_routes in zip(net.od_pairs, lam.sum(axis=1)):
+        if od.demand > 0 and n_routes == 0:
+            raise NetworkValidationError(
+                f"OD {od.origin}->{od.destination} has demand {od.demand} but no route")
     return RouteSet(tuple(routes), delta, lam)
 
 

@@ -26,14 +26,14 @@ from .network import Network, RouteSet, build_route_set, link_flows
 from .solver import SolverConfig, extragradient_solve, wardrop_check
 
 __all__ = ["Scenario", "SweepRow", "SweepResult", "ScenarioError",
-           "antt", "run_scenario", "emit_results"]
+           "antt", "run_scenario", "emit_results", "fmt_float"]
 
 
 class ScenarioError(ValueError):
     """Invalid scenario configuration."""
 
 
-def _fmt(x: float) -> str:
+def fmt_float(x: float) -> str:
     """Deterministic float formatting for output files."""
     return f"{float(x):.12g}"
 
@@ -128,12 +128,6 @@ def antt(f: np.ndarray, rs: RouteSet, moments: RouteMoments,
     return float(np.asarray(f) @ moments.mu / total_demand)
 
 
-def _antt_link_form(net: Network, v: np.ndarray, p: BprParams,
-                    total_demand: float) -> float:
-    means, _ = link_moments_vector(net, v, p)
-    return float(v @ means / total_demand)
-
-
 def run_scenario(net: Network, sc: Scenario,
                  wardrop_rel_tol: float = 1e-3) -> SweepResult:
     """Solve every (theta, demand, lambda) grid point in deterministic order.
@@ -157,7 +151,7 @@ def run_scenario(net: Network, sc: Scenario,
                 v = link_flows(rs, res.f_star)
                 mom = route_moments(point_net, rs, v, sc.bpr)
                 a = antt(res.f_star, rs, mom, q)
-                a_link = _antt_link_form(point_net, v, sc.bpr, q)
+                a_link = float(v @ link_moments_vector(point_net, v, sc.bpr)[0] / q)
                 if res.converged and abs(a - a_link) > 1e-6 * max(1.0, abs(a)):
                     raise RuntimeError(
                         f"ANTT cross-check failed: route form {a} vs link form {a_link}")
@@ -199,12 +193,12 @@ def emit_results(res: SweepResult, dest: str | Path) -> list[Path]:
             fh.write("lambda\tdemand\ttheta\tantt\titerations\tresidual\t"
                      "converged\twardrop_ok\tflows\tpsi\n")
             for row in res.rows:
-                flows = ";".join(_fmt(x) for x in row.flows)
-                psi = ";".join(_fmt(x) for x in row.psi)
-                fh.write(f"{_fmt(row.lam)}\t{_fmt(row.demand)}\t{_fmt(row.theta)}\t"
-                         f"{_fmt(row.antt)}\t{row.iterations}\t{_fmt(row.residual)}\t"
-                         f"{int(row.converged)}\t{int(row.wardrop_ok)}\t"
-                         f"{flows}\t{psi}\n")
+                flows = ";".join(fmt_float(x) for x in row.flows)
+                psi = ";".join(fmt_float(x) for x in row.psi)
+                fh.write(f"{fmt_float(row.lam)}\t{fmt_float(row.demand)}\t"
+                         f"{fmt_float(row.theta)}\t{fmt_float(row.antt)}\t"
+                         f"{row.iterations}\t{fmt_float(row.residual)}\t"
+                         f"{int(row.converged)}\t{int(row.wardrop_ok)}\t{flows}\t{psi}\n")
         written.append(table)
 
         for i, row in enumerate(res.rows):
@@ -214,7 +208,7 @@ def emit_results(res: SweepResult, dest: str | Path) -> list[Path]:
                 for it, (r, a, s) in enumerate(zip(row.residual_history,
                                                    row.antt_history,
                                                    row.step_history)):
-                    fh.write(f"{it}\t{_fmt(r)}\t{_fmt(a)}\t{_fmt(s)}\n")
+                    fh.write(f"{it}\t{fmt_float(r)}\t{fmt_float(a)}\t{fmt_float(s)}\n")
             written.append(log)
 
         groups: dict[tuple[float, float], list[SweepRow]] = {}
@@ -225,7 +219,7 @@ def emit_results(res: SweepResult, dest: str | Path) -> list[Path]:
             with series.open("w", newline="\n") as fh:
                 fh.write("lambda\tantt\n")
                 for row in sorted(rows, key=lambda r: r.lam):
-                    fh.write(f"{_fmt(row.lam)}\t{_fmt(row.antt)}\n")
+                    fh.write(f"{fmt_float(row.lam)}\t{fmt_float(row.antt)}\n")
             written.append(series)
         return written
     except OSError as exc:

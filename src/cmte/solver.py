@@ -13,6 +13,10 @@ u - P(u - F(u)) is exactly a Wardrop point: used routes share the
 minimal index value, unused routes cost at least as much, and demand is
 conserved.
 
+Each solve compiles its inputs once into a :class:`Problem` (link
+coefficients from ``bpr.link_coefficients``, delta, Lambda, Q, the risk
+coefficient c, each OD pair's routes) that every step reads.
+
 The solver is the classic two-projection extra-gradient iteration with
 backtracking on the step size: tau is halved until
 tau * ||F(u) - F(u_bar)|| <= nu * ||u - u_bar|| and grown again after
@@ -25,13 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bpr import BprParams, route_moments
+from .bpr import BprParams, link_coefficients, route_moments
 from .indices import IndexKind, RiskProfile, risk_coefficient
 from .network import Network, RouteSet, link_flows
 
 __all__ = ["SolverConfig", "EquilibriumResult", "WardropReport", "SolverError",
-           "assemble_F", "project", "natural_residual", "extragradient_solve",
-           "wardrop_check", "route_costs"]
+           "Problem", "compile_problem", "assemble_F", "project", "natural_residual",
+           "extragradient_solve", "wardrop_check", "route_costs"]
 
 
 class SolverError(RuntimeError):
@@ -75,6 +79,45 @@ class WardropReport:
     unused_ok: bool          # unused routes never undercut the minimum
 
 
+@dataclass(frozen=True)
+class Problem:
+    """One solve's inputs as arrays (see the module docstring)."""
+    t0: np.ndarray          # (|A|,) free-flow times
+    a_mean: np.ndarray      # (|A|,) E[T_a] = t0 + a_mean * v^n
+    a_var: np.ndarray       # (|A|,) Var[T_a] = a_var * v^(2n)
+    n: int
+    delta: np.ndarray       # (|A|, m) link-route incidence
+    lambda_inc: np.ndarray  # (w, m) OD-route incidence
+    q: np.ndarray           # (w,) OD demands
+    c: float                # risk coefficient: psi = mu + c * sigma
+    od_routes: tuple[np.ndarray, ...]  # route indices of each OD pair
+
+    def moments(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Route (mu, sigma) at route flows f (negative flows count as 0)."""
+        v = self.delta @ np.maximum(f, 0.0)
+        mu = self.delta.T @ (self.t0 + self.a_mean * v ** self.n)
+        sigma = np.sqrt(self.delta.T @ (self.a_var * v ** (2 * self.n)))
+        return mu, sigma
+
+    def psi(self, f: np.ndarray) -> np.ndarray:
+        mu, sigma = self.moments(f)
+        return mu + self.c * sigma
+
+
+def _od_routes(lambda_inc: np.ndarray) -> tuple[np.ndarray, ...]:
+    return tuple(np.flatnonzero(row) for row in lambda_inc)
+
+
+def compile_problem(net: Network, rs: RouteSet, p: BprParams, profile: RiskProfile,
+                    kind: IndexKind = IndexKind.CMTT) -> Problem:
+    """Compile a solve's network, route set, BPR form and index into arrays."""
+    t0, a_mean, a_var = link_coefficients(net.links, p)
+    return Problem(t0=t0, a_mean=a_mean, a_var=a_var, n=p.n, delta=rs.delta,
+                   lambda_inc=rs.lambda_inc,
+                   q=np.array([od.demand for od in net.od_pairs], dtype=float),
+                   c=risk_coefficient(kind, profile), od_routes=_od_routes(rs.lambda_inc))
+
+
 def route_costs(f: np.ndarray, net: Network, rs: RouteSet, p: BprParams,
                 profile: RiskProfile, kind: IndexKind = IndexKind.CMTT) -> np.ndarray:
     """Per-route index values psi(f) at the given route flows."""
@@ -83,17 +126,16 @@ def route_costs(f: np.ndarray, net: Network, rs: RouteSet, p: BprParams,
     return mom.mu + risk_coefficient(kind, profile) * mom.sigma
 
 
-def assemble_F(f: np.ndarray, pi: np.ndarray, net: Network, rs: RouteSet,
-               p: BprParams, profile: RiskProfile,
-               kind: IndexKind = IndexKind.CMTT) -> np.ndarray:
-    """Stacked mapping: (psi(f) - Lambda^T pi, Lambda f - Q)."""
-    f = np.asarray(f, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    if f.shape != (rs.n_routes,) or pi.shape != (len(net.od_pairs),):
+def assemble_F(u: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked mapping (psi(f) - Lambda^T pi, Lambda f - Q) at u = (f, pi),
+    returned with the route means mu(f) it was built from."""
+    m = prob.delta.shape[1]
+    if u.shape != (m + len(prob.q),):
         raise ValueError("dimension mismatch between (f, pi) and (routes, OD pairs)")
-    psi = route_costs(f, net, rs, p, profile, kind)
-    q = np.array([od.demand for od in net.od_pairs])
-    return np.concatenate([psi - rs.lambda_inc.T @ pi, rs.lambda_inc @ f - q])
+    f, pi = u[:m], u[m:]
+    mu, sigma = prob.moments(f)
+    return np.concatenate([mu + prob.c * sigma - prob.lambda_inc.T @ pi,
+                           prob.lambda_inc @ f - prob.q]), mu
 
 
 def project(u: np.ndarray) -> np.ndarray:
@@ -107,64 +149,38 @@ def natural_residual(u: np.ndarray, F_u: np.ndarray) -> float:
     return float(r / (1.0 + np.abs(u).max()))
 
 
-def _initial_point(net: Network, rs: RouteSet, p: BprParams, profile: RiskProfile,
-                   kind: IndexKind) -> np.ndarray:
-    """Equal demand split per OD; multipliers at the per-OD minimum index."""
-    f0 = np.zeros(rs.n_routes)
-    for oi, od in enumerate(net.od_pairs):
-        ks = rs.routes_of_od(oi)
-        if ks:
-            f0[ks] = od.demand / len(ks)
-    psi0 = route_costs(f0, net, rs, p, profile, kind)
-    pi0 = np.array([min(psi0[k] for k in rs.routes_of_od(oi)) if rs.routes_of_od(oi)
-                    else 0.0 for oi in range(len(net.od_pairs))])
-    return np.concatenate([f0, pi0])
-
-
 def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
                         profile: RiskProfile, cfg: SolverConfig = SolverConfig(),
                         f0: np.ndarray | None = None,
                         kind: IndexKind = IndexKind.CMTT) -> EquilibriumResult:
     """Run the extra-gradient iteration until the natural residual meets tol.
 
-    Returns a result flagged ``converged=False`` (with full residual
-    history) if max_iter is exhausted; raises SolverError on NaN or
-    overflow in the iterates.
+    Starts from f0 (projected; default: each OD's demand split equally over
+    its routes) with each multiplier at its OD's minimum index.  Returns a
+    result flagged ``converged=False`` (with full residual history) if
+    max_iter is exhausted; raises SolverError on NaN or overflow.
     """
-    m, w = rs.n_routes, len(net.od_pairs)
-    total_q = net.total_demand()
+    prob = compile_problem(net, rs, p, profile, kind)
+    m = rs.n_routes
+    total_q = prob.q.sum()
+    if f0 is None:
+        f0 = prob.lambda_inc.T @ (prob.q / np.maximum(prob.lambda_inc.sum(axis=1), 1.0))
+    f0 = project(np.asarray(f0, dtype=float))
+    psi0 = prob.psi(f0)
+    pi0 = [psi0[ks].min() if ks.size else 0.0 for ks in prob.od_routes]
+    u = np.concatenate([f0, pi0])
 
-    def F(u):
-        return assemble_F(u[:m], u[m:], net, rs, p, profile, kind)
-
-    def antt_of(u):
-        f = u[:m]
-        v = link_flows(rs, np.maximum(f, 0.0))
-        mom = route_moments(net, rs, v, p)
-        return float(f @ mom.mu / total_q) if total_q > 0 else 0.0
-
-    if f0 is not None:
-        f0 = project(np.asarray(f0, dtype=float))
-        psi0 = route_costs(f0, net, rs, p, profile, kind)
-        pi0 = np.array([min((psi0[k] for k in rs.routes_of_od(oi)), default=0.0)
-                        for oi in range(w)])
-        u = np.concatenate([f0, pi0])
-    else:
-        u = _initial_point(net, rs, p, profile, kind)
-
-    Fu = F(u)
+    Fu, mu = assemble_F(u, prob)
     tau = cfg.step_init if cfg.step_init is not None else 1.0 / (1.0 + np.abs(Fu).max())
     residuals, antts, steps = [], [], []
     converged = False
-    iterations = 0
 
     for it in range(cfg.max_iter):
-        iterations = it + 1
         if not np.all(np.isfinite(u)) or not np.all(np.isfinite(Fu)):
             raise SolverError(f"non-finite iterate at iteration {it}")
         res = natural_residual(u, Fu)
         residuals.append(res)
-        antts.append(antt_of(u))
+        antts.append(float(u[:m] @ mu / total_q) if total_q > 0 else 0.0)
         steps.append(tau)
         if res <= cfg.tol:
             converged = True
@@ -172,7 +188,7 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
         # backtracking: shrink tau until the Lipschitz-proxy inequality holds
         while True:
             u_bar = project(u - tau * Fu)
-            F_bar = F(u_bar)
+            F_bar, _ = assemble_F(u_bar, prob)
             lhs = tau * np.linalg.norm(Fu - F_bar)
             rhs = cfg.nu * np.linalg.norm(u - u_bar)
             if lhs <= rhs or rhs == 0.0:
@@ -181,22 +197,22 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
             if tau < 1e-14:
                 raise SolverError(f"step size underflow at iteration {it}")
         u = project(u - tau * F_bar)
-        Fu = F(u)
+        Fu, mu = assemble_F(u, prob)
         tau *= cfg.step_grow
 
     f_star, pi_star = u[:m], u[m:]
     if converged:
-        f_star = _polish_demand(f_star, net, rs)
-    psi = route_costs(f_star, net, rs, p, profile, kind)
-    gap = _max_relative_gap(f_star, psi, net, rs)
+        f_star = _polish_demand(f_star, prob)
+    psi = prob.psi(f_star)
+    gaps, _ = _od_gaps(f_star, psi, prob.od_routes, prob.q)
     return EquilibriumResult(
-        f_star=f_star, pi_star=pi_star, iterations=iterations,
+        f_star=f_star, pi_star=pi_star, iterations=len(residuals),
         residual_history=np.array(residuals), antt_history=np.array(antts),
         step_history=np.array(steps), cmtt_per_route=psi,
-        wardrop_gap=gap, converged=converged)
+        wardrop_gap=float(gaps.max(initial=0.0)), converged=converged)
 
 
-def _polish_demand(f: np.ndarray, net: Network, rs: RouteSet) -> np.ndarray:
+def _polish_demand(f: np.ndarray, prob: Problem) -> np.ndarray:
     """Rescale each OD's route flows so demand is met exactly.
 
     The stopping rule leaves demand residuals on the order of
@@ -204,55 +220,42 @@ def _polish_demand(f: np.ndarray, net: Network, rs: RouteSet) -> np.ndarray:
     proportional rescale removes them without moving the flow pattern.
     """
     f = f.copy()
-    for oi, od in enumerate(net.od_pairs):
-        ks = rs.routes_of_od(oi)
-        total = sum(f[k] for k in ks)
+    for ks, q in zip(prob.od_routes, prob.q):
+        total = f[ks].sum()
         if total > 0:
-            f[ks] = f[ks] * (od.demand / total)
+            f[ks] = f[ks] * (q / total)
     return f
 
 
-def _max_relative_gap(f: np.ndarray, psi: np.ndarray, net: Network, rs: RouteSet,
-                      used_threshold: float = 1e-4) -> float:
-    gap = 0.0
-    for oi, od in enumerate(net.od_pairs):
-        ks = rs.routes_of_od(oi)
-        if not ks:
+def _od_gaps(f: np.ndarray, psi: np.ndarray, od_routes: tuple[np.ndarray, ...],
+             q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per OD: the largest index gap of a route carrying over 1e-4 of the OD
+    demand to the OD minimum, relative to |minimum| (absolute when it is 0),
+    and the minimum."""
+    gaps, min_costs = np.zeros(len(od_routes)), np.zeros(len(od_routes))
+    for oi, ks in enumerate(od_routes):
+        if not ks.size:
             continue
-        pmin = min(psi[k] for k in ks)
-        used = [k for k in ks if f[k] > used_threshold * max(od.demand, 1.0)]
-        for k in used:
-            gap = max(gap, abs(psi[k] - pmin) / pmin if pmin > 0 else abs(psi[k] - pmin))
-    return gap
+        pmin = psi[ks].min()
+        used = ks[f[ks] > 1e-4 * max(q[oi], 1.0)]
+        gaps[oi] = np.abs(psi[used] - pmin).max(initial=0.0) / (abs(pmin) or 1.0)
+        min_costs[oi] = pmin
+    return gaps, min_costs
 
 
 def wardrop_check(result: EquilibriumResult, net: Network, rs: RouteSet,
-                  used_threshold: float = 1e-4, rel_tol: float = 1e-3) -> WardropReport:
+                  rel_tol: float = 1e-3) -> WardropReport:
     """Verify equalized-cost conditions at a converged point.
 
-    Used routes (flow above used_threshold * OD demand) must have index
-    values within rel_tol (relative) of the OD minimum; no route may
-    undercut that minimum by more than rel_tol relative.
+    Used routes (flow above 1e-4 of OD demand) must have index values
+    within rel_tol (relative) of the OD minimum; no route may undercut
+    that minimum by more than rel_tol relative.
     """
-    f, psi = result.f_star, result.cmtt_per_route
-    w = len(net.od_pairs)
-    od_gaps = np.zeros(w)
-    min_costs = np.zeros(w)
-    passed = True
-    unused_ok = True
-    for oi, od in enumerate(net.od_pairs):
-        ks = rs.routes_of_od(oi)
-        if not ks:
-            continue
-        pmin = min(psi[k] for k in ks)
-        min_costs[oi] = pmin
-        scale = abs(pmin) if pmin != 0 else 1.0
-        used = [k for k in ks if f[k] > used_threshold * max(od.demand, 1.0)]
-        gap = max((abs(psi[k] - pmin) / scale for k in used), default=0.0)
-        od_gaps[oi] = gap
-        if gap > rel_tol:
-            passed = False
-        if any(psi[k] < pmin - rel_tol * scale for k in ks):
-            unused_ok = False
-            passed = False
-    return WardropReport(passed, od_gaps, min_costs, unused_ok)
+    psi = result.cmtt_per_route
+    od_routes = _od_routes(rs.lambda_inc)
+    gaps, min_costs = _od_gaps(result.f_star, psi, od_routes,
+                               np.array([od.demand for od in net.od_pairs]))
+    unused_ok = all(np.all(psi[ks] >= pmin - rel_tol * (abs(pmin) or 1.0))
+                    for ks, pmin in zip(od_routes, min_costs))
+    return WardropReport(bool(np.all(gaps <= rel_tol)) and unused_ok, gaps, min_costs,
+                         unused_ok)

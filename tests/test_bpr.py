@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from cmte.bpr import BprParams, bpr_time, link_mean, link_var, route_moments
+from cmte.bpr import (BprParams, bpr_time, link_mean, link_moments_vector, link_var,
+                      route_moments)
 from cmte.montecarlo import McConfig, mc_link_moments
 from cmte.network import Link, Network, ODPair, build_route_set
 
@@ -125,3 +127,21 @@ class TestRouteMoments:
             mom = route_moments(net, rs, np.full(2, v_level), P)
             assert mom.mu[0] >= 20.0 - 1e-12
             assert np.all(mom.sigma >= 0.0)
+
+
+# theta exactly 1 mixed with theta < 1 in one network: the vectorised
+# limit branch must apply link by link, not to the whole network.
+_LINK = st.tuples(st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+                  st.floats(1.0, 30.0), st.floats(200.0, 3000.0), st.floats(0.0, 4000.0))
+
+
+@given(st.lists(_LINK, min_size=1, max_size=8))
+def test_link_moments_vector_matches_scalar_closed_forms(rows):
+    links = tuple(Link(i + 1, 1, 2, t0, cap, theta)
+                  for i, (theta, t0, cap, _) in enumerate(rows))
+    v = np.array([row[3] for row in rows])
+    means, variances = link_moments_vector(Network(links, ()), v, P)
+    np.testing.assert_allclose(means, [link_mean(l, x, P) for l, x in zip(links, v)],
+                               rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(variances, [link_var(l, x, P) for l, x in zip(links, v)],
+                               rtol=1e-12, atol=0.0)

@@ -59,7 +59,7 @@ def test_sweep_determinism(toy_net, tmp_path):
                               "theta_grid": [0.8]}))
     for name in ("a", "b"):
         assert main(["sweep", "--network", str(toy_net), "--scenario", str(sc),
-                     "--out", str(tmp_path / name), "--seed", "42"]) == 0
+                     "--out", str(tmp_path / name)]) == 0
     a = sorted(p for p in (tmp_path / "a").rglob("*") if p.is_file())
     b = sorted(p for p in (tmp_path / "b").rglob("*") if p.is_file())
     assert [x.read_bytes() for x in a] == [x.read_bytes() for x in b]
@@ -86,6 +86,14 @@ def test_config_error_exit_code(tmp_path, capsys):
     bad.write_text("[links]\n1 1 2 10 1000 0\n[od]\n1 2 100\n")  # theta = 0
     assert main(["solve", "--network", str(bad)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_routeless_od_exit_code(tmp_path, capsys):
+    net = tmp_path / "routeless.net"
+    net.write_text("[links]\n1 1 2 10 1000 0.8\n2 1 2 12 1000 0.8\n3 3 2 10 1000 0.8\n"
+                   "[od]\n1 2 500\n3 2 400\n[routes]\n1\n2\n")
+    assert main(["solve", "--network", str(net)]) == 1
+    assert "no route" in capsys.readouterr().err
 
 
 def test_bad_scenario_exit_code(toy_net, tmp_path, capsys):

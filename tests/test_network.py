@@ -61,6 +61,15 @@ class TestLoadNetwork:
         with pytest.raises(NetworkValidationError, match="no directed path"):
             load_network("[links]\n1 1 2 10 1000 1\n[od]\n2 1 100\n")
 
+    def test_explicit_routes_must_cover_every_od_with_demand(self):
+        doc = ("[links]\n1 1 2 10 1000 0.8\n2 1 2 12 1000 0.8\n3 3 2 10 1000 0.8\n"
+               "[od]\n1 2 500\n3 2 400\n[routes]\n1\n2\n")
+        with pytest.raises(NetworkValidationError, match="3->2 has demand 400.0 but no route"):
+            build_route_set(load_network(doc))
+        # an OD pair without demand needs no route
+        rs = build_route_set(load_network(doc.replace("3 2 400", "3 2 0")))
+        assert rs.n_routes == 2
+
     def test_explicit_routes_section(self):
         doc = standin_network_text() + "\n[routes]\n1 4 9 12 13\n2 6 10 12 13\n"
         net = load_network(doc)

@@ -3,9 +3,10 @@ import pytest
 
 from cmte.bpr import BprParams, route_moments
 from cmte.indices import IndexKind, RiskProfile
-from cmte.network import build_route_set, check_feasible, link_flows
+from cmte import solver
+from cmte.network import Link, Network, ODPair, build_route_set, check_feasible, link_flows
 from cmte.presets import parallel_links_network, standin_network, three_route_toy
-from cmte.solver import (SolverConfig, assemble_F, extragradient_solve,
+from cmte.solver import (SolverConfig, assemble_F, compile_problem, extragradient_solve,
                          natural_residual, project, route_costs, wardrop_check)
 
 P = BprParams()
@@ -25,45 +26,48 @@ class TestProject:
         assert np.array_equal(project(project(u)), project(u))
 
 
+def compiled(net):
+    rs = build_route_set(net)
+    return rs, compile_problem(net, rs, P, PROFILE)
+
+
 class TestAssembleF:
     def test_single_route_fixed_point(self):
         net = parallel_links_network(n_links=1, demand=500.0)
-        rs = build_route_set(net)
+        rs, prob = compiled(net)
         f = np.array([500.0])
         psi = route_costs(f, net, rs, P, PROFILE)
-        F = assemble_F(f, psi, net, rs, P, PROFILE)
+        F, mu = assemble_F(np.concatenate([f, psi]), prob)
         assert np.allclose(F, 0.0, atol=1e-12)
+        assert np.allclose(mu, route_moments(net, rs, link_flows(rs, f), P).mu)
 
     def test_zero_point(self):
         net = parallel_links_network(n_links=2, demand=500.0)
-        rs = build_route_set(net)
-        F = assemble_F(np.zeros(2), np.zeros(1), net, rs, P, PROFILE)
+        rs, prob = compiled(net)
+        F, _ = assemble_F(np.zeros(3), prob)
         psi0 = route_costs(np.zeros(2), net, rs, P, PROFILE)
         assert np.allclose(F[:2], psi0)
         assert F[2] == pytest.approx(-500.0)
 
     def test_dimension_mismatch(self):
-        net = parallel_links_network(n_links=2)
-        rs = build_route_set(net)
+        _, prob = compiled(parallel_links_network(n_links=2))
         with pytest.raises(ValueError):
-            assemble_F(np.zeros(3), np.zeros(1), net, rs, P, PROFILE)
+            assemble_F(np.zeros(4), prob)
 
 
 class TestNaturalResidual:
     def test_zero_at_fixed_point(self):
         net = parallel_links_network(n_links=1, demand=500.0)
-        rs = build_route_set(net)
+        rs, prob = compiled(net)
         f = np.array([500.0])
-        psi = route_costs(f, net, rs, P, PROFILE)
-        u = np.concatenate([f, psi])
-        F = assemble_F(f, psi, net, rs, P, PROFILE)
+        u = np.concatenate([f, route_costs(f, net, rs, P, PROFILE)])
+        F, _ = assemble_F(u, prob)
         assert natural_residual(u, F) == pytest.approx(0.0, abs=1e-14)
 
     def test_positive_at_origin(self):
-        net = parallel_links_network(n_links=2, demand=500.0)
-        rs = build_route_set(net)
+        _, prob = compiled(parallel_links_network(n_links=2, demand=500.0))
         u = np.zeros(3)
-        F = assemble_F(u[:2], u[2:], net, rs, P, PROFILE)
+        F, _ = assemble_F(u, prob)
         assert natural_residual(u, F) > 0.0
 
 
@@ -127,6 +131,41 @@ class TestExtragradient:
         warm = extragradient_solve(net, rs, P, PROFILE, f0=cold.f_star)
         assert warm.converged
         assert warm.iterations <= cold.iterations
+
+
+class TestTwoOdSolve:
+    # two OD pairs, 1->4 and 2->4, sharing the links 5 and 6 into node 4
+    NET = Network((Link(1, 1, 3, 8.0, 900.0, 0.8), Link(2, 1, 3, 10.0, 1100.0, 0.7),
+                   Link(3, 2, 3, 6.0, 800.0, 0.9), Link(4, 2, 4, 20.0, 700.0, 0.6),
+                   Link(5, 3, 4, 9.0, 1200.0, 0.8), Link(6, 3, 4, 11.0, 1000.0, 1.0)),
+                  (ODPair(1, 4, 1200.0), ODPair(2, 4, 800.0)))
+
+    def test_each_od_demand_met(self, monkeypatch):
+        rs = build_route_set(self.NET)
+        res = extragradient_solve(self.NET, rs, P, PROFILE)
+        assert res.converged
+        assert rs.lambda_inc @ res.f_star == pytest.approx([1200.0, 800.0], rel=1e-12)
+        # the iterate itself, before the polish rescales it, is within tolerance
+        monkeypatch.setattr(solver, "_polish_demand", lambda f, prob: f)
+        res = extragradient_solve(self.NET, rs, P, PROFILE)
+        assert rs.lambda_inc @ res.f_star == pytest.approx([1200.0, 800.0], rel=1e-3)
+
+    def test_wardrop_gap_is_the_checks_largest_od_gap(self):
+        rs = build_route_set(self.NET)
+        res = extragradient_solve(self.NET, rs, P, PROFILE)
+        report = wardrop_check(res, self.NET, rs)
+        assert len(report.od_gaps) == 2
+        assert res.wardrop_gap == report.od_gaps.max()
+
+    def test_antt_history_ends_at_the_final_iterate(self, monkeypatch):
+        # without the demand polish, f_star is the iterate of the last residual
+        monkeypatch.setattr(solver, "_polish_demand", lambda f, prob: f)
+        rs = build_route_set(self.NET)
+        res = extragradient_solve(self.NET, rs, P, PROFILE)
+        assert res.converged
+        mom = route_moments(self.NET, rs, link_flows(rs, res.f_star), P)
+        assert res.antt_history[-1] == pytest.approx(res.f_star @ mom.mu / 2000.0,
+                                                     rel=1e-12)
 
 
 class TestWardropCheck:
