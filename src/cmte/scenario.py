@@ -6,6 +6,13 @@ solves the equilibrium at every grid point and collects one
 :class:`SweepRow` per point; ``emit_results`` writes the result table,
 per-solve convergence logs and plot-ready ANTT-vs-lambda series.
 
+Within one (Theta, Q) cell the lambda series is solved as a
+continuation: each solve starts from the route flows of the last
+converged solve before it in the series, since the equilibrium moves
+little between neighbouring lambda values.  The first solve of each cell
+starts cold, so a cell's rows do not depend on which other cells the
+sweep holds.
+
 ANTT (average network travel time) is the demand-weighted mean route
 travel time sum_k f_k * mu_k / sum_od q.  By flow conservation this
 equals the link-level form sum_a v_a * E[T_a] / sum_od q; both are
@@ -68,7 +75,7 @@ class Scenario:
 
         Recognized keys: alpha, lambda_grid, demand_grid, theta_grid,
         bpr {beta, n}, solver {tol, max_iter, step_init, step_shrink,
-        step_grow}.  Missing keys fall back to defaults.
+        step_grow, nu}.  Missing keys fall back to defaults.
         """
         try:
             raw = json.loads(text)
@@ -133,8 +140,10 @@ def run_scenario(net: Network, sc: Scenario,
     """Solve every (theta, demand, lambda) grid point in deterministic order.
 
     For each point the base network gets a uniform theta and its OD
-    demands scaled so they total the grid demand.  Failed solves are
-    recorded with converged=False, never dropped.
+    demands scaled so they total the grid demand.  Along each cell's
+    lambda series a solve is warm-started from the last converged flows
+    (see the module docstring).  Failed solves are recorded with
+    converged=False, never dropped.
     """
     base_q = net.total_demand()
     if base_q <= 0:
@@ -144,10 +153,13 @@ def run_scenario(net: Network, sc: Scenario,
     for theta in sc.theta_grid:
         for q in sc.demand_grid:
             point_net = net.with_uniform_theta(theta).with_scaled_demand(q / base_q)
+            f0 = None
             for lam in sc.lambda_grid:
                 profile = RiskProfile(sc.alpha, lam)
                 res = extragradient_solve(point_net, rs, sc.bpr, profile,
-                                          sc.solver, kind=IndexKind.CMTT)
+                                          sc.solver, f0=f0, kind=IndexKind.CMTT)
+                if res.converged:
+                    f0 = res.f_star
                 v = link_flows(rs, res.f_star)
                 mom = route_moments(point_net, rs, v, sc.bpr)
                 a = antt(res.f_star, rs, mom, q)

@@ -1,21 +1,24 @@
 """Route-based equilibrium as a variational inequality, solved by
 extra-gradient projection.
 
-The unknown is u = (f, pi): route flows stacked with one multiplier per
-OD pair (the realized minimum generalized cost).  The mapping is
-
-    F(u) = ( psi(f) - Lambda^T pi ,  Lambda f - Q )
-
-over the nonnegative orthant, where psi is the per-route risk index
-(mean + coefficient * standard deviation), Lambda the OD-route
-incidence and Q the demand vector.  A zero of the natural residual
-u - P(u - F(u)) is exactly a Wardrop point: used routes share the
-minimal index value, unused routes cost at least as much, and demand is
-conserved.
+The unknown is the route-flow vector f, confined to the product of
+scaled simplices K = {f >= 0, Lambda f = Q}: each OD pair's route flows
+are nonnegative and sum to its demand.  The mapping is F(f) = psi(f),
+the per-route risk index (mean + coefficient * standard deviation), and
+a zero of the natural residual f - P_K(f - psi(f)) is exactly a Wardrop
+point: used routes share the minimal index value of their OD pair and
+unused routes cost at least as much.  The projection P_K works OD by OD
+with the sort-based projection onto a simplex (Duchi et al., ICML 2008),
+so every iterate meets demand to rounding and no step is needed to
+restore it after the solve.  The realized minimum index of each OD pair,
+the multiplier of its demand constraint, is read off the final flows
+(``EquilibriumResult.pi_star``).
 
 Each solve compiles its inputs once into a :class:`Problem` (link
 coefficients from ``bpr.link_coefficients``, delta, Lambda, Q, the risk
 coefficient c, each OD pair's routes) that every step reads.
+``compile_problem`` also rejects points where the index could fall as
+flow rises (:class:`DomainError`).
 
 The solver is the classic two-projection extra-gradient iteration with
 backtracking on the step size: tau is halved until
@@ -34,12 +37,16 @@ from .indices import IndexKind, RiskProfile, risk_coefficient
 from .network import Network, RouteSet, link_flows
 
 __all__ = ["SolverConfig", "EquilibriumResult", "WardropReport", "SolverError",
-           "Problem", "compile_problem", "assemble_F", "project", "natural_residual",
-           "extragradient_solve", "wardrop_check", "route_costs"]
+           "DomainError", "Problem", "compile_problem", "assemble_F", "project",
+           "natural_residual", "extragradient_solve", "wardrop_check", "route_costs"]
 
 
 class SolverError(RuntimeError):
     """Numerical breakdown (NaN/overflow) during a solve."""
+
+
+class DomainError(ValueError):
+    """A point where the index is not guaranteed positive and nondecreasing."""
 
 
 @dataclass(frozen=True)
@@ -61,7 +68,7 @@ class SolverConfig:
 @dataclass
 class EquilibriumResult:
     f_star: np.ndarray
-    pi_star: np.ndarray
+    pi_star: np.ndarray  # per OD: minimum route index at f_star
     iterations: int
     residual_history: np.ndarray
     antt_history: np.ndarray
@@ -76,7 +83,6 @@ class WardropReport:
     passed: bool
     od_gaps: np.ndarray      # per OD: max used-route index deviation / min index
     min_costs: np.ndarray    # per OD minimum index value
-    unused_ok: bool          # unused routes never undercut the minimum
 
 
 @dataclass(frozen=True)
@@ -99,10 +105,6 @@ class Problem:
         sigma = np.sqrt(self.delta.T @ (self.a_var * v ** (2 * self.n)))
         return mu, sigma
 
-    def psi(self, f: np.ndarray) -> np.ndarray:
-        mu, sigma = self.moments(f)
-        return mu + self.c * sigma
-
 
 def _od_routes(lambda_inc: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(np.flatnonzero(row) for row in lambda_inc)
@@ -110,12 +112,27 @@ def _od_routes(lambda_inc: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def compile_problem(net: Network, rs: RouteSet, p: BprParams, profile: RiskProfile,
                     kind: IndexKind = IndexKind.CMTT) -> Problem:
-    """Compile a solve's network, route set, BPR form and index into arrays."""
+    """Compile a solve's network, route set, BPR form and index into arrays.
+
+    Raises DomainError unless a_mean >= max(-c, 0) * sqrt(a_var) on every
+    link.  Since a route's sigma is at most the sum of its links'
+    sqrt(a_var) * v^n, this keeps every route index positive and
+    nondecreasing in each link flow, so the mapping is monotone.
+    """
     t0, a_mean, a_var = link_coefficients(net.links, p)
+    c = risk_coefficient(kind, profile)
+    floor = max(-c, 0.0) * np.sqrt(a_var)
+    bad = np.flatnonzero(a_mean < floor)
+    if bad.size:
+        i = bad[0]
+        raise DomainError(
+            f"index not monotone on link {net.links[i].id}: mean coefficient "
+            f"{a_mean[i]:.6g} < {-c:.6g} * std coefficient {np.sqrt(a_var[i]):.6g} "
+            f"= {floor[i]:.6g}")
     return Problem(t0=t0, a_mean=a_mean, a_var=a_var, n=p.n, delta=rs.delta,
                    lambda_inc=rs.lambda_inc,
                    q=np.array([od.demand for od in net.od_pairs], dtype=float),
-                   c=risk_coefficient(kind, profile), od_routes=_od_routes(rs.lambda_inc))
+                   c=c, od_routes=_od_routes(rs.lambda_inc))
 
 
 def route_costs(f: np.ndarray, net: Network, rs: RouteSet, p: BprParams,
@@ -127,25 +144,33 @@ def route_costs(f: np.ndarray, net: Network, rs: RouteSet, p: BprParams,
 
 
 def assemble_F(u: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked mapping (psi(f) - Lambda^T pi, Lambda f - Q) at u = (f, pi),
-    returned with the route means mu(f) it was built from."""
-    m = prob.delta.shape[1]
-    if u.shape != (m + len(prob.q),):
-        raise ValueError("dimension mismatch between (f, pi) and (routes, OD pairs)")
-    f, pi = u[:m], u[m:]
-    mu, sigma = prob.moments(f)
-    return np.concatenate([mu + prob.c * sigma - prob.lambda_inc.T @ pi,
-                           prob.lambda_inc @ f - prob.q]), mu
+    """The mapping psi(f) at route flows u, returned with the route means
+    mu(f) it was built from."""
+    if u.shape != (prob.delta.shape[1],):
+        raise ValueError("dimension mismatch between flows and routes")
+    mu, sigma = prob.moments(u)
+    return mu + prob.c * sigma, mu
 
 
-def project(u: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the nonnegative orthant."""
-    return np.maximum(u, 0.0)
+def project(u: np.ndarray, prob: Problem) -> np.ndarray:
+    """Euclidean projection onto {f >= 0, Lambda f = Q}, one OD simplex at a
+    time: shift the OD's flows by the threshold that makes their positive
+    parts sum to its demand (found by sorting), then clip at zero."""
+    x = np.zeros_like(u)
+    for ks, q in zip(prob.od_routes, prob.q):
+        if q <= 0:
+            continue
+        y = u[ks]
+        s = np.sort(y)[::-1]
+        excess = np.cumsum(s) - q
+        rho = np.flatnonzero(s * np.arange(1, s.size + 1) > excess)[-1]
+        x[ks] = np.maximum(y - excess[rho] / (rho + 1), 0.0)
+    return x
 
 
-def natural_residual(u: np.ndarray, F_u: np.ndarray) -> float:
+def natural_residual(u: np.ndarray, F_u: np.ndarray, prob: Problem) -> float:
     """||u - P(u - F(u))||_inf / (1 + ||u||_inf); zero exactly at solutions."""
-    r = np.abs(u - project(u - F_u)).max()
+    r = np.abs(u - project(u - F_u, prob)).max()
     return float(r / (1.0 + np.abs(u).max()))
 
 
@@ -155,20 +180,17 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
                         kind: IndexKind = IndexKind.CMTT) -> EquilibriumResult:
     """Run the extra-gradient iteration until the natural residual meets tol.
 
-    Starts from f0 (projected; default: each OD's demand split equally over
-    its routes) with each multiplier at its OD's minimum index.  Returns a
-    result flagged ``converged=False`` (with full residual history) if
-    max_iter is exhausted; raises SolverError on NaN or overflow.
+    Starts from f0 projected onto the demand simplices (default: each OD's
+    demand split equally over its routes).  Returns a result flagged
+    ``converged=False`` (with full residual history) if max_iter is
+    exhausted; raises SolverError on NaN or overflow and DomainError
+    (from ``compile_problem``) outside the model's domain.
     """
     prob = compile_problem(net, rs, p, profile, kind)
-    m = rs.n_routes
     total_q = prob.q.sum()
     if f0 is None:
         f0 = prob.lambda_inc.T @ (prob.q / np.maximum(prob.lambda_inc.sum(axis=1), 1.0))
-    f0 = project(np.asarray(f0, dtype=float))
-    psi0 = prob.psi(f0)
-    pi0 = [psi0[ks].min() if ks.size else 0.0 for ks in prob.od_routes]
-    u = np.concatenate([f0, pi0])
+    u = project(np.asarray(f0, dtype=float), prob)
 
     Fu, mu = assemble_F(u, prob)
     tau = cfg.step_init if cfg.step_init is not None else 1.0 / (1.0 + np.abs(Fu).max())
@@ -178,16 +200,16 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
     for it in range(cfg.max_iter):
         if not np.all(np.isfinite(u)) or not np.all(np.isfinite(Fu)):
             raise SolverError(f"non-finite iterate at iteration {it}")
-        res = natural_residual(u, Fu)
+        res = natural_residual(u, Fu, prob)
         residuals.append(res)
-        antts.append(float(u[:m] @ mu / total_q) if total_q > 0 else 0.0)
+        antts.append(float(u @ mu / total_q) if total_q > 0 else 0.0)
         steps.append(tau)
         if res <= cfg.tol:
             converged = True
             break
         # backtracking: shrink tau until the Lipschitz-proxy inequality holds
         while True:
-            u_bar = project(u - tau * Fu)
+            u_bar = project(u - tau * Fu, prob)
             F_bar, _ = assemble_F(u_bar, prob)
             lhs = tau * np.linalg.norm(Fu - F_bar)
             rhs = cfg.nu * np.linalg.norm(u - u_bar)
@@ -196,35 +218,16 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
             tau *= cfg.step_shrink
             if tau < 1e-14:
                 raise SolverError(f"step size underflow at iteration {it}")
-        u = project(u - tau * F_bar)
+        u = project(u - tau * F_bar, prob)
         Fu, mu = assemble_F(u, prob)
         tau *= cfg.step_grow
 
-    f_star, pi_star = u[:m], u[m:]
-    if converged:
-        f_star = _polish_demand(f_star, prob)
-    psi = prob.psi(f_star)
-    gaps, _ = _od_gaps(f_star, psi, prob.od_routes, prob.q)
+    gaps, min_costs = _od_gaps(u, Fu, prob.od_routes, prob.q)
     return EquilibriumResult(
-        f_star=f_star, pi_star=pi_star, iterations=len(residuals),
+        f_star=u, pi_star=min_costs, iterations=len(residuals),
         residual_history=np.array(residuals), antt_history=np.array(antts),
-        step_history=np.array(steps), cmtt_per_route=psi,
+        step_history=np.array(steps), cmtt_per_route=Fu,
         wardrop_gap=float(gaps.max(initial=0.0)), converged=converged)
-
-
-def _polish_demand(f: np.ndarray, prob: Problem) -> np.ndarray:
-    """Rescale each OD's route flows so demand is met exactly.
-
-    The stopping rule leaves demand residuals on the order of
-    tol * (1 + ||u||), far coarser than the flows themselves; a
-    proportional rescale removes them without moving the flow pattern.
-    """
-    f = f.copy()
-    for ks, q in zip(prob.od_routes, prob.q):
-        total = f[ks].sum()
-        if total > 0:
-            f[ks] = f[ks] * (q / total)
-    return f
 
 
 def _od_gaps(f: np.ndarray, psi: np.ndarray, od_routes: tuple[np.ndarray, ...],
@@ -248,14 +251,10 @@ def wardrop_check(result: EquilibriumResult, net: Network, rs: RouteSet,
     """Verify equalized-cost conditions at a converged point.
 
     Used routes (flow above 1e-4 of OD demand) must have index values
-    within rel_tol (relative) of the OD minimum; no route may undercut
-    that minimum by more than rel_tol relative.
+    within rel_tol (relative) of the OD minimum.  No route can undercut
+    the minimum, which is taken over all of the OD's routes.
     """
-    psi = result.cmtt_per_route
-    od_routes = _od_routes(rs.lambda_inc)
-    gaps, min_costs = _od_gaps(result.f_star, psi, od_routes,
+    gaps, min_costs = _od_gaps(result.f_star, result.cmtt_per_route,
+                               _od_routes(rs.lambda_inc),
                                np.array([od.demand for od in net.od_pairs]))
-    unused_ok = all(np.all(psi[ks] >= pmin - rel_tol * (abs(pmin) or 1.0))
-                    for ks, pmin in zip(od_routes, min_costs))
-    return WardropReport(bool(np.all(gaps <= rel_tol)) and unused_ok, gaps, min_costs,
-                         unused_ok)
+    return WardropReport(bool(np.all(gaps <= rel_tol)), gaps, min_costs)

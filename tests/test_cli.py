@@ -41,6 +41,14 @@ def test_solve_nonconvergence_exit_code(toy_net):
     assert main(["solve", "--network", str(toy_net), "--max-iter", "2"]) == 2
 
 
+def test_non_monotone_point_exit_code(standin_net, tmp_path, capsys):
+    # heavy degradation with an optimistic index is outside the model's domain
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps({"alpha": 0.5, "lambda_grid": [1.0], "theta_grid": [0.3]}))
+    assert main(["solve", "--network", str(standin_net), "--scenario", str(sc)]) == 1
+    assert "not monotone on link" in capsys.readouterr().err
+
+
 def test_sweep_with_scenario(toy_net, tmp_path, capsys):
     sc = tmp_path / "sc.json"
     sc.write_text(json.dumps({"lambda_grid": [0.0, 0.5, 1.0],

@@ -1,14 +1,16 @@
 import filecmp
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cmte.bpr import BprParams, route_moments
+from cmte.indices import RiskProfile
 from cmte.network import build_route_set, link_flows
 from cmte.presets import standin_network, three_route_toy
 from cmte.scenario import (Scenario, ScenarioError, SweepResult, antt,
                            emit_results, run_scenario)
-from cmte.solver import SolverConfig
+from cmte.solver import SolverConfig, extragradient_solve, route_costs, wardrop_check
 
 FAST_SOLVER = SolverConfig(tol=1e-4, max_iter=10_000)
 
@@ -101,6 +103,47 @@ class TestRunScenario:
         sc = Scenario(demand_grid=(500.0,), solver=FAST_SOLVER)
         res = run_scenario(three_route_toy(demand=1000.0), sc)
         assert res.rows[0].flows.sum() == pytest.approx(500.0, rel=1e-3)
+
+
+class TestContinuation:
+    LAMBDAS = tuple(round(0.1 * i, 1) for i in range(11))
+    THETA, DEMAND = 0.8, 4000.0
+
+    def cell(self, thetas):
+        sc = Scenario(lambda_grid=self.LAMBDAS, demand_grid=(self.DEMAND,),
+                      theta_grid=thetas, solver=FAST_SOLVER)
+        return [r for r in run_scenario(standin_network(), sc).rows
+                if r.theta == self.THETA]
+
+    def test_cell_rows_independent_of_other_cells(self):
+        alone = self.cell((self.THETA,))
+        beside = self.cell((0.7, self.THETA))  # another cell is swept first
+        assert len(alone) == len(beside) == len(self.LAMBDAS)
+        for a, b in zip(alone, beside):
+            assert a.iterations == b.iterations
+            assert a.antt == b.antt
+            assert np.array_equal(a.flows, b.flows)
+            assert np.array_equal(a.residual_history, b.residual_history)
+
+    def test_warm_rows_match_cold_solves_at_lower_cost(self):
+        base = standin_network()
+        point = base.with_uniform_theta(self.THETA).with_scaled_demand(
+            self.DEMAND / base.total_demand())
+        rs = build_route_set(point)
+        warm = self.cell((self.THETA,))
+        cold_iterations = 0
+        for row in warm:
+            profile = RiskProfile(0.9, row.lam)
+            cold = extragradient_solve(point, rs, BprParams(), profile, FAST_SOLVER)
+            assert cold.converged and row.converged and row.wardrop_ok
+            cold_iterations += cold.iterations
+            psi = route_costs(row.flows, point, rs, BprParams(), profile)
+            at_row = SimpleNamespace(f_star=row.flows, cmtt_per_route=psi)
+            assert wardrop_check(at_row, point, rs, rel_tol=1e-3).passed
+            mom = route_moments(point, rs, link_flows(rs, cold.f_star), BprParams())
+            assert row.antt == pytest.approx(antt(cold.f_star, rs, mom, self.DEMAND),
+                                             rel=1e-3)
+        assert sum(r.iterations for r in warm) < cold_iterations
 
 
 class TestEmitResults:
