@@ -7,7 +7,7 @@ verifies every closed-form formula against Monte-Carlo sampling.
 
 from .bpr import BprParams, RouteMoments, bpr_time, link_mean, link_var, route_moments
 from .indices import (IndexKind, RiskProfile, cmtt, mbtt, mett, risk_coefficient,
-                      std_normal_cdf, std_normal_quantile, ttb)
+                      std_normal_quantile, ttb)
 from .montecarlo import McConfig, mc_link_moments, mc_tail_means
 from .network import (Link, Network, ODPair, Route, RouteSet, build_route_set,
                       check_feasible, enumerate_routes, link_flows, load_network)

@@ -3,17 +3,19 @@
 Link travel time follows t0 * [1 + beta * (v / C)^n] where the realized
 capacity C is uniform on [theta * C_bar, C_bar].  The mean and variance
 of the travel time then have closed forms built from the negative
-moments of the uniform distribution:
+moments of the uniform distribution.  For integer k >= 2,
 
-    E[C^-n] = (1 - theta^(1-n)) / (C_bar^n * (1 - theta) * (1 - n))
+    m_k = C_bar^k E[C^-k] = sum_{j=1..k-1} theta^(-j) / (k - 1),
 
-and similarly with 2n for the second moment, so E[T] = t0 + a_mean v^n
-and Var[T] = a_var v^(2n) with a_mean = beta t0 E[C^-n] and
-a_var = (beta t0)^2 (E[C^-2n] - E[C^-n]^2).  ``link_coefficients``
-computes (t0, a_mean, a_var) for many links at once and holds the only
-theta -> 1 branch: theta = 1 is the deterministic limit (plain BPR, zero
-variance), taken for each link with |1 - theta| < 1e-9 to stay clear of
-the 0/0.  Every other function here, and the solver's compiled problem,
+so E[T] = t0 + a_mean v^n and Var[T] = a_var v^(2n) with
+a_mean = beta t0 m_n / C_bar^n and
+a_var = (beta t0 / C_bar^n)^2 (m_2n - m_n^2).  The variance factor
+m_2n - m_n^2 is evaluated as a polynomial in x = (1 - theta) / theta
+whose exact rational coefficients are all >= 0, with zero constant and
+linear terms, so nothing cancels anywhere in theta in (0, 1]: theta = 1
+(x = 0) gives plain BPR and zero variance with no branch.
+``link_coefficients`` computes (t0, a_mean, a_var) for many links at
+once; every other function here, and the solver's compiled problem,
 reads its output.
 
 Route moments aggregate link moments under independence: means add,
@@ -22,7 +24,10 @@ variances add, sigma = sqrt of the variance sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -30,9 +35,6 @@ from .network import Link, Network, RouteSet
 
 __all__ = ["BprParams", "RouteMoments", "bpr_time", "link_coefficients", "link_mean",
            "link_var", "link_moments_vector", "route_moments"]
-
-THETA_LIMIT_EPS = 1e-9
-
 
 @dataclass(frozen=True)
 class BprParams:
@@ -59,24 +61,32 @@ def bpr_time(link: Link, v, capacity, p: BprParams):
     return link.t0 * (1.0 + p.beta * (np.asarray(v, dtype=float) / capacity) ** p.n)
 
 
-def _inv_cap_moment(theta, cap, order):
-    """E[C^-order] for C ~ U(theta*cap, cap), theta < 1."""
-    return (1.0 - theta ** (1 - order)) / (cap ** order * (1.0 - theta) * (1 - order))
+@cache
+def _variance_polynomial(n: int) -> tuple[float, ...]:
+    """Coefficients, highest power first, of m_2n - m_n^2 in x = 1/theta - 1.
+
+    With 1/theta = 1 + x, m_k = sum_{j=1..k-1} (1 + x)^j / (k - 1) has the
+    coefficient comb(k, i + 1) / (k - 1) at x^i for i >= 1, and 1 at x^0.
+    """
+    def m(k):
+        return [Fraction(1)] + [Fraction(math.comb(k, i + 1), k - 1) for i in range(1, k)]
+
+    m_n, var = m(n), m(2 * n)
+    for i, a in enumerate(m_n):
+        for j, b in enumerate(m_n):
+            var[i + j] -= a * b
+    return tuple(float(c) for c in reversed(var))
 
 
 def link_coefficients(links: tuple[Link, ...], p: BprParams):
     """Per-link arrays (t0, a_mean, a_var) of the moment polynomials."""
     t0, cap, theta = np.array([(l.t0, l.cap_design, l.theta) for l in links],
                               dtype=float).reshape(-1, 3).T
-    bt = p.beta * t0
-    a_mean = bt / cap ** p.n  # theta = 1: plain BPR
-    a_var = np.zeros_like(bt)
-    d = 1.0 - theta >= THETA_LIMIT_EPS
-    m1 = _inv_cap_moment(theta[d], cap[d], p.n)
-    m2 = _inv_cap_moment(theta[d], cap[d], 2 * p.n)
-    a_mean[d] = bt[d] * m1
-    a_var[d] = bt[d] ** 2 * (m2 - m1 ** 2)
-    return t0, a_mean, a_var
+    with np.errstate(over="ignore"):  # an overflow reads inf, rejected by the solver
+        scale = p.beta * t0 / cap ** p.n
+        m_n = (theta[:, None] ** -np.arange(1, p.n)).sum(axis=1) / (p.n - 1)
+        x = (1.0 - theta) / theta  # 1 - theta is exact for theta >= 1/2
+        return t0, scale * m_n, scale ** 2 * np.polyval(_variance_polynomial(p.n), x)
 
 
 def link_mean(link: Link, v, p: BprParams):

@@ -29,7 +29,6 @@ from scipy import special
 __all__ = [
     "RiskProfile",
     "IndexKind",
-    "std_normal_cdf",
     "std_normal_pdf",
     "std_normal_quantile",
     "ttb",
@@ -37,7 +36,6 @@ __all__ = [
     "mett",
     "cmtt",
     "risk_coefficient",
-    "index_value",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -75,11 +73,6 @@ class IndexKind(Enum):
     MBTT = "mbtt"
     METT = "mett"
     CMTT = "cmtt"
-
-
-def std_normal_cdf(x):
-    """Standard normal CDF, accurate to better than 1e-12 absolute."""
-    return special.ndtr(x)
 
 
 def std_normal_pdf(x):
@@ -159,12 +152,6 @@ def risk_coefficient(kind: IndexKind, profile: RiskProfile) -> float:
     if kind is IndexKind.CMTT:
         return (a - lam) * phi_q / (a * (1.0 - a))
     raise ValueError(f"unknown index kind: {kind}")
-
-
-def index_value(kind: IndexKind, mu, sigma, profile: RiskProfile):
-    """Evaluate any named index as mu + c * sigma."""
-    _check_sigma(sigma)
-    return mu + risk_coefficient(kind, profile) * sigma
 
 
 def _check_sigma(sigma):

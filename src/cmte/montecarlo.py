@@ -4,8 +4,8 @@ Every analytic formula in :mod:`cmte.bpr` and :mod:`cmte.indices` has an
 empirical counterpart here: link travel-time moments are estimated by
 sampling the uniform capacity, conditional tail means by sampling the
 normal route time and splitting at the empirical quantile.  Estimates
-come with standard errors so agreement can be asserted within a
-configurable multiple (3 by default).
+come with standard errors, and ``oracle_report`` asserts agreement within
+CI_MULTIPLIER = 3 of them.
 
 Sampling uses numpy's seeded PCG64 generator; a fixed seed gives
 bitwise-identical estimates across runs.
@@ -26,13 +26,13 @@ __all__ = ["McConfig", "McMoments", "McTails", "mc_link_moments",
            "mc_tail_means", "oracle_report"]
 
 RNG_ALGORITHM = "numpy PCG64"
+CI_MULTIPLIER = 3.0  # a claim passes within this many standard errors
 
 
 @dataclass(frozen=True)
 class McConfig:
     samples: int = 10 ** 6
     seed: int = 0
-    ci_multiplier: float = 3.0
 
     def __post_init__(self):
         if self.samples < 10 ** 4:
@@ -117,7 +117,7 @@ def oracle_report(net: Network, p: BprParams, cfg: McConfig,
 
     def add(claim, closed, estimate, se):
         nonlocal ok
-        passed = abs(closed - estimate) <= cfg.ci_multiplier * se
+        passed = abs(closed - estimate) <= CI_MULTIPLIER * se
         ok = ok and passed
         rows.append((claim, closed, estimate, se, "pass" if passed else "fail"))
 
@@ -127,7 +127,7 @@ def oracle_report(net: Network, p: BprParams, cfg: McConfig,
             lk = replace(link, theta=theta)
             for frac in flow_fracs:
                 v = frac * link.cap_design
-                sub = McConfig(cfg.samples, seed, cfg.ci_multiplier)
+                sub = McConfig(cfg.samples, seed)
                 seed += 1
                 est = mc_link_moments(lk, v, p, sub)
                 tag = f"link{link.id}_theta{theta:g}_v{frac:g}C"
@@ -135,7 +135,7 @@ def oracle_report(net: Network, p: BprParams, cfg: McConfig,
                 add(f"var_{tag}", float(bpr.link_var(lk, v, p)), est.var, est.var_se)
 
     for mu, sigma, a in tail_cases:
-        sub = McConfig(cfg.samples, seed, cfg.ci_multiplier)
+        sub = McConfig(cfg.samples, seed)
         seed += 1
         est = mc_tail_means(mu, sigma, a, sub)
         tag = f"mu{mu:g}_sigma{sigma:g}_alpha{a:g}"

@@ -2,10 +2,11 @@
 
 A :class:`Network` is a directed graph with per-link free-flow time,
 design capacity and capacity degradation degree, plus a list of OD pairs
-with demands.  A :class:`RouteSet` enumerates simple directed paths per
-OD pair and carries the two incidence structures everything downstream
-needs: the link-route 0/1 matrix ``delta`` (|A| x m) and the OD-route
-0/1 matrix ``lambda_inc`` (w x m).
+with demands.  A :class:`RouteSet` holds simple directed paths per OD
+pair (the MAX_ROUTES_PER_OD with the lowest free-flow time, or the
+network's explicit routes) and carries the two incidence structures
+everything downstream needs: the link-route 0/1 matrix ``delta``
+(|A| x m) and the OD-route 0/1 matrix ``lambda_inc`` (w x m).
 
 Networks are parsed from a small line-oriented text format::
 
@@ -46,6 +47,8 @@ __all__ = [
     "link_flows",
     "check_feasible",
 ]
+
+MAX_ROUTES_PER_OD = 50  # enumeration keeps this many routes per OD pair
 
 
 class NetworkParseError(ValueError):
@@ -105,10 +108,6 @@ class Network:
                     f"no directed path from {od.origin} to {od.destination}")
 
     @property
-    def nodes(self) -> frozenset[int]:
-        return frozenset(n for l in self.links for n in (l.tail, l.head))
-
-    @property
     def n_links(self) -> int:
         return len(self.links)
 
@@ -116,12 +115,6 @@ class Network:
         for l in self.links:
             if l.id == link_id:
                 return l
-        raise KeyError(f"no link with id {link_id}")
-
-    def link_index(self, link_id: int) -> int:
-        for i, l in enumerate(self.links):
-            if l.id == link_id:
-                return i
         raise KeyError(f"no link with id {link_id}")
 
     def total_demand(self) -> float:
@@ -229,19 +222,14 @@ def load_network(text: str) -> Network:
 # ---------------------------------------------------------------------------
 # routes
 
-def enumerate_routes(net: Network, max_routes_per_od: int, max_hops: int) -> RouteSet:
+def enumerate_routes(net: Network) -> RouteSet:
     """Enumerate simple directed paths per OD pair.
 
-    Depth-first search over simple paths with at most max_hops links,
-    ranked by free-flow time with the link-id sequence as tie-break, and
-    truncated to max_routes_per_od.  Deterministic: the same network
-    always yields the same RouteSet.
-
-    Raises NetworkValidationError if an OD pair with positive demand has
-    no route within the limits.
+    Depth-first search over simple paths, ranked by free-flow time with
+    the link-id sequence as tie-break, and truncated to MAX_ROUTES_PER_OD
+    (read at call time).  Deterministic: the same network always yields
+    the same RouteSet.
     """
-    if max_routes_per_od < 1 or max_hops < 1:
-        raise ValueError("max_routes_per_od and max_hops must be positive")
     out: dict[int, list[Link]] = {}
     for l in net.links:
         out.setdefault(l.tail, []).append(l)
@@ -256,8 +244,6 @@ def enumerate_routes(net: Network, max_routes_per_od: int, max_hops: int) -> Rou
             if node == od.destination:
                 found.append((t0_sum, tuple(path_ids)))
                 return
-            if len(path_ids) >= max_hops:
-                return
             for l in out.get(node, ()):
                 if l.head not in visited:
                     visited.add(l.head)
@@ -268,19 +254,17 @@ def enumerate_routes(net: Network, max_routes_per_od: int, max_hops: int) -> Rou
 
         dfs(od.origin, {od.origin}, [], 0.0)
         found.sort(key=lambda fr: (fr[0], fr[1]))
-        routes.extend(Route(oi, ids) for _, ids in found[:max_routes_per_od])
+        routes.extend(Route(oi, ids) for _, ids in found[:MAX_ROUTES_PER_OD])
     return _assemble_route_set(net, routes)
 
 
-def build_route_set(net: Network, max_routes_per_od: int = 50,
-                    max_hops: int | None = None) -> RouteSet:
+def build_route_set(net: Network) -> RouteSet:
     """RouteSet from the network's explicit routes if present, else enumeration;
     NetworkValidationError if an OD pair with positive demand gets no route."""
     if net.preset_routes:
         routes = [Route(_od_of_sequence(net, seq), seq) for seq in net.preset_routes]
         return _assemble_route_set(net, routes)
-    hops = max_hops if max_hops is not None else net.n_links
-    return enumerate_routes(net, max_routes_per_od, hops)
+    return enumerate_routes(net)
 
 
 def _od_of_sequence(net: Network, seq: tuple[int, ...]) -> int:
@@ -295,12 +279,13 @@ def _od_of_sequence(net: Network, seq: tuple[int, ...]) -> int:
 
 def _assemble_route_set(net: Network, routes: list[Route]) -> RouteSet:
     m = len(routes)
+    row = {l.id: i for i, l in enumerate(net.links)}
     delta = np.zeros((net.n_links, m))
     lam = np.zeros((len(net.od_pairs), m))
     for k, r in enumerate(routes):
         _validate_path(net, r)
         for lid in r.link_ids:
-            delta[net.link_index(lid), k] = 1.0
+            delta[row[lid], k] = 1.0
         lam[r.od_index, k] = 1.0
     for od, n_routes in zip(net.od_pairs, lam.sum(axis=1)):
         if od.demand > 0 and n_routes == 0:

@@ -74,8 +74,9 @@ class Scenario:
         """Build from a JSON document mirroring the fields of this type.
 
         Recognized keys: alpha, lambda_grid, demand_grid, theta_grid,
-        bpr {beta, n}, solver {tol, max_iter, step_init, step_shrink,
-        step_grow, nu}.  Missing keys fall back to defaults.
+        bpr {beta, n}, solver {tol, max_iter}.  Missing keys fall back to
+        defaults; any other key, at the top level or inside bpr or solver,
+        raises ScenarioError.
         """
         try:
             raw = json.loads(text)
@@ -88,16 +89,16 @@ class Scenario:
         if unknown:
             raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
         kwargs = {}
-        if "alpha" in raw:
-            kwargs["alpha"] = float(raw["alpha"])
-        for key in ("lambda_grid", "demand_grid", "theta_grid"):
-            if key in raw:
-                kwargs[key] = tuple(float(x) for x in raw[key])
-        if "bpr" in raw:
-            kwargs["bpr"] = BprParams(**raw["bpr"])
-        if "solver" in raw:
-            kwargs["solver"] = SolverConfig(**raw["solver"])
         try:
+            if "alpha" in raw:
+                kwargs["alpha"] = float(raw["alpha"])
+            for key in ("lambda_grid", "demand_grid", "theta_grid"):
+                if key in raw:
+                    kwargs[key] = tuple(float(x) for x in raw[key])
+            if "bpr" in raw:
+                kwargs["bpr"] = BprParams(**raw["bpr"])
+            if "solver" in raw:
+                kwargs["solver"] = SolverConfig(**raw["solver"])
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             if isinstance(exc, ScenarioError):
@@ -135,14 +136,14 @@ def antt(f: np.ndarray, rs: RouteSet, moments: RouteMoments,
     return float(np.asarray(f) @ moments.mu / total_demand)
 
 
-def run_scenario(net: Network, sc: Scenario,
-                 wardrop_rel_tol: float = 1e-3) -> SweepResult:
+def run_scenario(net: Network, sc: Scenario) -> SweepResult:
     """Solve every (theta, demand, lambda) grid point in deterministic order.
 
     For each point the base network gets a uniform theta and its OD
     demands scaled so they total the grid demand.  Along each cell's
     lambda series a solve is warm-started from the last converged flows
-    (see the module docstring).  Failed solves are recorded with
+    (see the module docstring).  A row's wardrop_ok is ``wardrop_check``
+    at its default tolerance.  Failed solves are recorded with
     converged=False, never dropped.
     """
     base_q = net.total_demand()
@@ -167,8 +168,7 @@ def run_scenario(net: Network, sc: Scenario,
                 if res.converged and abs(a - a_link) > 1e-6 * max(1.0, abs(a)):
                     raise RuntimeError(
                         f"ANTT cross-check failed: route form {a} vs link form {a_link}")
-                wok = wardrop_check(res, point_net, rs,
-                                    rel_tol=wardrop_rel_tol).passed if res.converged else False
+                wok = wardrop_check(res, point_net, rs).passed if res.converged else False
                 rows.append(SweepRow(
                     lam=lam, demand=q, theta=theta, antt=a,
                     iterations=res.iterations,

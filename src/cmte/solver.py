@@ -21,9 +21,10 @@ coefficient c, each OD pair's routes) that every step reads.
 flow rises (:class:`DomainError`).
 
 The solver is the classic two-projection extra-gradient iteration with
-backtracking on the step size: tau is halved until
-tau * ||F(u) - F(u_bar)|| <= nu * ||u - u_bar|| and grown again after
-accepted steps, so no Lipschitz constant is needed up front.
+backtracking on the step size, so no Lipschitz constant is needed up
+front.  It starts from tau = 1 / (1 + ||F(u0)||_inf); tau is multiplied
+by STEP_SHRINK = 0.5 until tau * ||F(u) - F(u_bar)|| <= NU * ||u - u_bar||
+(NU = 0.9) and by STEP_GROW = 1.1 after each accepted step.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ __all__ = ["SolverConfig", "EquilibriumResult", "WardropReport", "SolverError",
            "DomainError", "Problem", "compile_problem", "assemble_F", "project",
            "natural_residual", "extragradient_solve", "wardrop_check", "route_costs"]
 
+STEP_SHRINK = 0.5  # backtracking: tau *= STEP_SHRINK until the test holds
+STEP_GROW = 1.1    # tau *= STEP_GROW after each accepted step
+NU = 0.9           # acceptance factor of the backtracking test
+
 
 class SolverError(RuntimeError):
     """Numerical breakdown (NaN/overflow) during a solve."""
@@ -53,16 +58,10 @@ class DomainError(ValueError):
 class SolverConfig:
     tol: float = 1e-4
     max_iter: int = 10_000
-    step_init: float | None = None  # default 1 / (1 + ||F(u0)||_inf)
-    step_shrink: float = 0.5
-    step_grow: float = 1.1
-    nu: float = 0.9  # backtracking acceptance factor
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
-        if not 0.0 < self.step_shrink < 1.0 < self.step_grow:
-            raise ValueError("need 0 < step_shrink < 1 < step_grow")
 
 
 @dataclass
@@ -114,12 +113,20 @@ def compile_problem(net: Network, rs: RouteSet, p: BprParams, profile: RiskProfi
                     kind: IndexKind = IndexKind.CMTT) -> Problem:
     """Compile a solve's network, route set, BPR form and index into arrays.
 
-    Raises DomainError unless a_mean >= max(-c, 0) * sqrt(a_var) on every
+    Raises DomainError unless every link's coefficients are finite (a
+    degradation degree or capacity so small that they overflow is outside
+    the model's domain) and a_mean >= max(-c, 0) * sqrt(a_var) on every
     link.  Since a route's sigma is at most the sum of its links'
     sqrt(a_var) * v^n, this keeps every route index positive and
     nondecreasing in each link flow, so the mapping is monotone.
     """
     t0, a_mean, a_var = link_coefficients(net.links, p)
+    bad = np.flatnonzero(~(np.isfinite(t0) & np.isfinite(a_mean) & np.isfinite(a_var)))
+    if bad.size:
+        i = bad[0]
+        raise DomainError(
+            f"moment coefficients of link {net.links[i].id} are not finite: t0 "
+            f"{t0[i]:.6g}, mean {a_mean[i]:.6g}, variance {a_var[i]:.6g}")
     c = risk_coefficient(kind, profile)
     floor = max(-c, 0.0) * np.sqrt(a_var)
     bad = np.flatnonzero(a_mean < floor)
@@ -193,7 +200,7 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
     u = project(np.asarray(f0, dtype=float), prob)
 
     Fu, mu = assemble_F(u, prob)
-    tau = cfg.step_init if cfg.step_init is not None else 1.0 / (1.0 + np.abs(Fu).max())
+    tau = 1.0 / (1.0 + np.abs(Fu).max())
     residuals, antts, steps = [], [], []
     converged = False
 
@@ -212,15 +219,15 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
             u_bar = project(u - tau * Fu, prob)
             F_bar, _ = assemble_F(u_bar, prob)
             lhs = tau * np.linalg.norm(Fu - F_bar)
-            rhs = cfg.nu * np.linalg.norm(u - u_bar)
+            rhs = NU * np.linalg.norm(u - u_bar)
             if lhs <= rhs or rhs == 0.0:
                 break
-            tau *= cfg.step_shrink
+            tau *= STEP_SHRINK
             if tau < 1e-14:
                 raise SolverError(f"step size underflow at iteration {it}")
         u = project(u - tau * F_bar, prob)
         Fu, mu = assemble_F(u, prob)
-        tau *= cfg.step_grow
+        tau *= STEP_GROW
 
     gaps, min_costs = _od_gaps(u, Fu, prob.od_routes, prob.q)
     return EquilibriumResult(

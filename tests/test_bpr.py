@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cmte.bpr import (BprParams, bpr_time, link_mean, link_moments_vector, link_var,
-                      route_moments)
+from cmte.bpr import (BprParams, bpr_time, link_coefficients, link_mean,
+                      link_moments_vector, link_var, route_moments)
 from cmte.montecarlo import McConfig, mc_link_moments
 from cmte.network import Link, Network, ODPair, build_route_set
 
@@ -130,7 +132,7 @@ class TestRouteMoments:
 
 
 # theta exactly 1 mixed with theta < 1 in one network: the vectorised
-# limit branch must apply link by link, not to the whole network.
+# closed forms must agree with the one-link functions link by link.
 _LINK = st.tuples(st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
                   st.floats(1.0, 30.0), st.floats(200.0, 3000.0), st.floats(0.0, 4000.0))
 
@@ -145,3 +147,32 @@ def test_link_moments_vector_matches_scalar_closed_forms(rows):
                                rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(variances, [link_var(l, x, P) for l, x in zip(links, v)],
                                rtol=1e-12, atol=0.0)
+
+
+def exact_coefficients(link, p):
+    """(a_mean, a_var) in exact rational arithmetic from the textbook form
+    E[C^-k] = (theta^(1-k) - 1) / (cap^k (k - 1) (1 - theta)), k = n, 2n."""
+    theta, cap = Fraction(link.theta), Fraction(link.cap_design)
+
+    def m(k):  # cap^k E[C^-k]
+        return Fraction(1) if theta == 1 else (theta ** (1 - k) - 1) / ((k - 1) * (1 - theta))
+
+    scale = Fraction(p.beta) * Fraction(link.t0) / cap ** p.n
+    return scale * m(p.n), scale ** 2 * (m(2 * p.n) - m(p.n) ** 2)
+
+
+# theta over the accepted range, and within 1e-12 of 1 where m_2n - m_n^2
+# cancels if formed from its two terms
+_THETA = st.one_of(st.floats(1e-3, 1.0), st.floats(1.0 - 1e-12, 1.0))
+
+
+@given(_THETA, st.floats(1.0, 30.0), st.floats(200.0, 3000.0), st.sampled_from([2, 3, 4, 5, 6]))
+def test_link_coefficients_match_exact_rational_oracle(theta, t0, cap, n):
+    p = BprParams(n=n)
+    link = Link(1, 1, 2, t0, cap, theta)
+    _, a_mean, a_var = link_coefficients((link,), p)
+    mean_exact, var_exact = exact_coefficients(link, p)
+    assert a_mean[0] == pytest.approx(float(mean_exact), rel=1e-12)
+    assert a_var[0] == pytest.approx(float(var_exact), rel=1e-12, abs=0.0)
+    if theta == 1.0:
+        assert a_var[0] == 0.0

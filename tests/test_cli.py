@@ -110,6 +110,20 @@ def test_bad_scenario_exit_code(toy_net, tmp_path, capsys):
     assert main(["solve", "--network", str(toy_net), "--scenario", str(sc)]) == 1
 
 
+def test_unknown_solver_key_exit_code(toy_net, tmp_path, capsys):
+    sc = tmp_path / "sc.json"
+    sc.write_text('{"solver": {"nu": 0.9}}')
+    assert main(["solve", "--network", str(toy_net), "--scenario", str(sc)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_non_finite_coefficients_exit_code(tmp_path, capsys):
+    net = tmp_path / "tiny_cap.net"
+    net.write_text("[links]\n1 1 2 10 1e-80 0.8\n2 1 2 12 600 0.8\n[od]\n1 2 1000\n")
+    assert main(["solve", "--network", str(net)]) == 1
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_missing_network_is_io_error(tmp_path, capsys):
     code = main(["solve", "--network", str(tmp_path / "nope.net")])
     assert code == 3

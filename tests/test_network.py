@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cmte import network
 from cmte.network import (Link, Network, NetworkParseError, NetworkValidationError,
                           ODPair, build_route_set, check_feasible, enumerate_routes,
                           link_flows, load_network)
@@ -33,7 +34,6 @@ class TestLoadNetwork:
     def test_standin_shape(self):
         net = load_network(standin_network_text())
         assert net.n_links == 13
-        assert len(net.nodes) == 10
         assert all(l.theta == 0.8 for l in net.links)
 
     def test_comments_and_commas(self):
@@ -80,13 +80,13 @@ class TestLoadNetwork:
 class TestEnumerateRoutes:
     def test_parallel_links(self):
         net = parallel_links_network(n_links=2)
-        rs = enumerate_routes(net, 10, 5)
+        rs = enumerate_routes(net)
         assert rs.n_routes == 2
 
     def test_standin_has_six_routes(self):
         # oracle: exhaustive DFS over the stand-in graph finds exactly 6 paths
         net = standin_network()
-        rs = enumerate_routes(net, 6, 13)
+        rs = enumerate_routes(net)
         assert rs.n_routes == 6
         assert {r.link_ids for r in rs.routes} == {
             (1, 3, 7, 11, 13), (1, 4, 8, 11, 13), (1, 4, 9, 12, 13),
@@ -94,34 +94,27 @@ class TestEnumerateRoutes:
 
     def test_ranked_by_free_flow_time(self):
         net = standin_network()
-        rs = enumerate_routes(net, 6, 13)
+        rs = enumerate_routes(net)
         t0s = [sum(net.link_by_id(l).t0 for l in r.link_ids) for r in rs.routes]
         assert t0s == sorted(t0s)
 
-    def test_truncation(self):
-        rs = enumerate_routes(standin_network(), 3, 13)
+    def test_truncation(self, monkeypatch):
+        # the limit is read at call time and keeps the fastest routes
+        full = enumerate_routes(standin_network())
+        monkeypatch.setattr(network, "MAX_ROUTES_PER_OD", 3)
+        rs = enumerate_routes(standin_network())
         assert rs.n_routes == 3
-
-    def test_hop_cap_excludes_long_routes(self):
-        with pytest.raises(NetworkValidationError, match="no route"):
-            enumerate_routes(standin_network(), 6, 3)
-
-    def test_nonpositive_limits_rejected(self):
-        net = parallel_links_network()
-        with pytest.raises(ValueError):
-            enumerate_routes(net, 5, 0)
-        with pytest.raises(ValueError):
-            enumerate_routes(net, 0, 5)
+        assert rs.routes == full.routes[:3]
 
     def test_deterministic(self):
-        a = enumerate_routes(standin_network(), 6, 13)
-        b = enumerate_routes(standin_network(), 6, 13)
+        a = enumerate_routes(standin_network())
+        b = enumerate_routes(standin_network())
         assert a.routes == b.routes
         assert np.array_equal(a.delta, b.delta)
         assert np.array_equal(a.lambda_inc, b.lambda_inc)
 
     def test_incidence_structure(self):
-        rs = enumerate_routes(standin_network(), 6, 13)
+        rs = enumerate_routes(standin_network())
         # each route column has a 1 per traversed link, one OD row each
         assert rs.delta.shape == (13, 6)
         assert np.all(rs.lambda_inc.sum(axis=0) == 1.0)
@@ -131,6 +124,7 @@ class TestLinkFlows:
     def setup_method(self):
         self.net = standin_network()
         self.rs = build_route_set(self.net)
+        self.row = {l.id: i for i, l in enumerate(self.net.links)}
 
     def test_zero(self):
         assert np.all(link_flows(self.rs, np.zeros(6)) == 0.0)
@@ -140,14 +134,14 @@ class TestLinkFlows:
         f[0] = 100.0  # route (1, 4, 9, 12, 13)
         v = link_flows(self.rs, f)
         for lid in (1, 4, 9, 12, 13):
-            assert v[self.net.link_index(lid)] == 100.0
+            assert v[self.row[lid]] == 100.0
         assert v.sum() == 500.0
 
     def test_shared_link_additivity(self):
         f = np.zeros(6)
         f[0], f[1] = 50.0, 70.0  # both traverse links 9, 12, 13
         v = link_flows(self.rs, f)
-        assert v[self.net.link_index(13)] == 120.0
+        assert v[self.row[13]] == 120.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

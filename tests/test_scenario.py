@@ -44,6 +44,11 @@ class TestScenarioConfig:
         with pytest.raises(ScenarioError, match="unknown"):
             Scenario.from_json('{"alphas": 0.9}')
 
+    def test_from_json_rejects_unknown_solver_keys(self):
+        # the backtracking constants are not settings
+        with pytest.raises(ScenarioError, match="nu"):
+            Scenario.from_json('{"solver": {"nu": 0.9}}')
+
     def test_from_json_rejects_bad_json(self):
         with pytest.raises(ScenarioError):
             Scenario.from_json("not json")

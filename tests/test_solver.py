@@ -132,6 +132,14 @@ class TestDomain:
         with pytest.raises(ValueError, match="not monotone"):
             extragradient_solve(net, build_route_set(net), P, RiskProfile(0.5, 1.0))
 
+    @pytest.mark.parametrize("theta, cap", [(1e-300, 1000.0), (0.8, 1e-80)])
+    def test_non_finite_coefficients_rejected(self, theta, cap):
+        # both overflow the moment coefficients; a NaN must not reach the solve
+        net = Network((Link(1, 1, 2, 10.0, cap, theta), Link(2, 1, 2, 12.0, 600.0, 0.8)),
+                      (ODPair(1, 2, 1000.0),))
+        with pytest.raises(DomainError, match="link 1 are not finite"):
+            compiled(net)
+
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
     def test_benchmark_range_accepted(self, lam):
         net = standin_network().with_uniform_theta(0.6)
@@ -191,6 +199,13 @@ class TestExtragradient:
                                         kind=IndexKind.MTT)
         assert neutral.converged and mean_only.converged
         assert neutral.f_star == pytest.approx(mean_only.f_star, rel=1e-3, abs=1.0)
+
+    def test_theta_next_to_one_solves(self):
+        # the variance closed form must not cancel to a negative value here
+        net = standin_network(theta=1.0 - 1e-7)
+        res = extragradient_solve(net, build_route_set(net), P, PROFILE)
+        assert res.converged
+        assert wardrop_check(res, net, build_route_set(net)).passed
 
     def test_warm_start(self):
         net = three_route_toy()
