@@ -14,22 +14,22 @@ Indices provided:
 - ``mett``  mean of T conditioned above the alpha-quantile
 - ``cmtt``  convex combination  lambda * mbtt + (1 - lambda) * mett
 
-All functions accept scalars or numpy arrays for mu / sigma.
+All functions accept scalars or numpy arrays for mu / sigma.  The
+standard normal quantile and density come from the standard library's
+``statistics.NormalDist`` (the quantile is Wichura's AS241 algorithm).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "RiskProfile",
     "IndexKind",
-    "std_normal_pdf",
     "std_normal_quantile",
     "ttb",
     "mbtt",
@@ -38,7 +38,7 @@ __all__ = [
     "risk_coefficient",
 ]
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_STD_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -75,25 +75,19 @@ class IndexKind(Enum):
     CMTT = "cmtt"
 
 
-def std_normal_pdf(x):
-    """Standard normal density."""
-    return np.exp(-0.5 * np.asarray(x, dtype=float) ** 2) / _SQRT_2PI
-
-
-def std_normal_quantile(p):
-    """Inverse standard normal CDF.
+def std_normal_quantile(p: float) -> float:
+    """Inverse standard normal CDF at a scalar p.
 
     Raises ValueError outside the open interval (0, 1).
     """
-    p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
+    if not 0.0 < p < 1.0:
         raise ValueError(f"quantile argument must be in (0, 1), got {p}")
-    return special.ndtri(p)
+    return _STD_NORMAL.inv_cdf(p)
 
 
-def _phi_at_quantile(alpha):
+def _phi_at_quantile(alpha: float) -> float:
     """Density of the standard normal evaluated at its alpha-quantile."""
-    return std_normal_pdf(std_normal_quantile(alpha))
+    return _STD_NORMAL.pdf(std_normal_quantile(alpha))
 
 
 def ttb(mu, sigma, alpha):
@@ -143,8 +137,8 @@ def risk_coefficient(kind: IndexKind, profile: RiskProfile) -> float:
     if kind is IndexKind.MTT:
         return 0.0
     if kind is IndexKind.PTT_TTB:
-        return float(std_normal_quantile(a))
-    phi_q = float(_phi_at_quantile(a))
+        return std_normal_quantile(a)
+    phi_q = _phi_at_quantile(a)
     if kind is IndexKind.MBTT:
         return -phi_q / a
     if kind is IndexKind.METT:

@@ -86,6 +86,9 @@ class ODPair:
     demand: float  # pcu/h
 
     def __post_init__(self):
+        if self.origin == self.destination:
+            raise NetworkValidationError(f"OD {self.origin}->{self.destination}: "
+                                         "origin and destination must differ")
         if self.demand < 0:
             raise NetworkValidationError(
                 f"OD {self.origin}->{self.destination}: demand must be >= 0, "
@@ -102,6 +105,14 @@ class Network:
         ids = [l.id for l in self.links]
         if len(set(ids)) != len(ids):
             raise NetworkValidationError("duplicate link ids")
+        for seq in self.preset_routes:
+            if not seq:
+                raise NetworkValidationError("explicit route names no link")
+            missing = set(seq).difference(ids)
+            if missing:
+                raise NetworkValidationError(
+                    f"explicit route {seq} names link {min(missing)}, which the "
+                    f"network lacks")
         for od in self.od_pairs:
             if not self._has_path(od.origin, od.destination):
                 raise NetworkValidationError(
@@ -130,8 +141,6 @@ class Network:
             replace(od, demand=od.demand * factor) for od in self.od_pairs))
 
     def _has_path(self, src: int, dst: int) -> bool:
-        if src == dst:
-            return True
         out = {}
         for l in self.links:
             out.setdefault(l.tail, []).append(l.head)

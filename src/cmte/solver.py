@@ -162,12 +162,18 @@ def assemble_F(u: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
 def project(u: np.ndarray, prob: Problem) -> np.ndarray:
     """Euclidean projection onto {f >= 0, Lambda f = Q}, one OD simplex at a
     time: shift the OD's flows by the threshold that makes their positive
-    parts sum to its demand (found by sorting), then clip at zero."""
+    parts sum to its demand (found by sorting), then clip at zero.  The
+    flows are first taken relative to the largest, which moves only the
+    threshold: every flow it keeps then lies within the demand of zero, so
+    it rounds at the demand's scale rather than the flows' and the result
+    meets the demand to rounding of the demand.
+    """
     x = np.zeros_like(u)
     for ks, q in zip(prob.od_routes, prob.q):
         if q <= 0:
             continue
         y = u[ks]
+        y -= y.max()
         s = np.sort(y)[::-1]
         excess = np.cumsum(s) - q
         rho = np.flatnonzero(s * np.arange(1, s.size + 1) > excess)[-1]
@@ -189,9 +195,10 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
 
     Starts from f0 projected onto the demand simplices (default: each OD's
     demand split equally over its routes).  Returns a result flagged
-    ``converged=False`` (with full residual history) if max_iter is
-    exhausted; raises SolverError on NaN or overflow and DomainError
-    (from ``compile_problem``) outside the model's domain.
+    ``converged=False`` if max_iter is exhausted; either way the last
+    entries of its histories belong to f_star.  Raises SolverError on NaN
+    or overflow and DomainError (from ``compile_problem``) outside the
+    model's domain.
     """
     prob = compile_problem(net, rs, p, profile, kind)
     total_q = prob.q.sum()
@@ -211,9 +218,9 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
         residuals.append(res)
         antts.append(float(u @ mu / total_q) if total_q > 0 else 0.0)
         steps.append(tau)
-        if res <= cfg.tol:
-            converged = True
-            break
+        converged = res <= cfg.tol
+        if converged or it == cfg.max_iter - 1:
+            break  # the histories end at f_star, converged or not
         # backtracking: shrink tau until the Lipschitz-proxy inequality holds
         while True:
             u_bar = project(u - tau * Fu, prob)

@@ -104,6 +104,21 @@ def test_routeless_od_exit_code(tmp_path, capsys):
     assert "no route" in capsys.readouterr().err
 
 
+def test_route_with_missing_link_exit_code(tmp_path, capsys):
+    net = tmp_path / "missing_link.net"
+    net.write_text("[links]\n1 1 2 10 1000 0.8\n2 1 2 12 1000 0.8\n"
+                   "[od]\n1 2 500\n[routes]\n1\n7\n")
+    assert main(["solve", "--network", str(net)]) == 1
+    assert "names link 7" in capsys.readouterr().err
+
+
+def test_od_to_itself_exit_code(tmp_path, capsys):
+    net = tmp_path / "loop_od.net"
+    net.write_text("[links]\n1 1 2 10 1000 0.8\n[od]\n1 1 100\n")
+    assert main(["solve", "--network", str(net)]) == 1
+    assert "origin and destination must differ" in capsys.readouterr().err
+
+
 def test_bad_scenario_exit_code(toy_net, tmp_path, capsys):
     sc = tmp_path / "sc.json"
     sc.write_text('{"lambda_grid": []}')

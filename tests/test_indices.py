@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.special import ndtr
 
 from cmte.indices import (IndexKind, RiskProfile, cmtt, mbtt, mett, risk_coefficient,
                           std_normal_quantile, ttb)
@@ -11,6 +10,12 @@ from cmte.indices import (IndexKind, RiskProfile, cmtt, mbtt, mett, risk_coeffic
 ALPHA_GRID = [round(0.05 * i, 2) for i in range(1, 20)]  # 0.05 .. 0.95
 MU_GRID = [1.0, 10.0, 100.0]
 SIGMA_GRID = [0.0, 1.0, 10.0]
+
+
+def ndtr(x):
+    """Standard normal CDF through the complementary error function, an
+    oracle independent of the quantile code under test."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 class TestNormalNumerics:
@@ -22,7 +27,7 @@ class TestNormalNumerics:
             assert ndtr(std_normal_quantile(p)) == pytest.approx(p, abs=1e-10)
 
     def test_quantile_at_09_against_bisection(self):
-        # independent oracle: bisection on scipy's normal CDF
+        # independent oracle: bisection on the erfc-based normal CDF
         lo, hi = 0.0, 10.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
@@ -32,7 +37,7 @@ class TestNormalNumerics:
                 hi = mid
         assert std_normal_quantile(0.9) == pytest.approx(0.5 * (lo + hi), abs=1e-12)
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1, math.nan])
     def test_quantile_domain(self, p):
         with pytest.raises(ValueError):
             std_normal_quantile(p)

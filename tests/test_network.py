@@ -61,6 +61,20 @@ class TestLoadNetwork:
         with pytest.raises(NetworkValidationError, match="no directed path"):
             load_network("[links]\n1 1 2 10 1000 1\n[od]\n2 1 100\n")
 
+    def test_od_to_itself_rejected(self):
+        with pytest.raises(NetworkValidationError, match="line 4: OD 1->1: origin and"):
+            load_network("[links]\n1 1 2 10 1000 1\n[od]\n1 1 100\n")
+
+    def test_explicit_route_naming_a_missing_link(self):
+        doc = ("[links]\n1 1 2 10 1000 0.8\n2 1 2 12 1000 0.8\n"
+               "[od]\n1 2 500\n[routes]\n1\n7\n")
+        with pytest.raises(NetworkValidationError, match="names link 7"):
+            load_network(doc)
+
+    def test_empty_explicit_route(self):
+        with pytest.raises(NetworkValidationError, match="names no link"):
+            load_network("[links]\n1 1 2 10 1000 0.8\n[od]\n1 2 100\n[routes]\n,\n")
+
     def test_explicit_routes_must_cover_every_od_with_demand(self):
         doc = ("[links]\n1 1 2 10 1000 0.8\n2 1 2 12 1000 0.8\n3 3 2 10 1000 0.8\n"
                "[od]\n1 2 500\n3 2 400\n[routes]\n1\n2\n")

@@ -46,6 +46,18 @@ class TestProject:
         x = project(np.array([-3.0, 0.5, -0.1, 7.0]), prob)
         assert np.allclose(project(x, prob), x, rtol=1e-12, atol=1e-12)
 
+    def test_meets_demand_when_flows_dwarf_it(self):
+        # a threshold taken from the raw flows, 8192.675, carries the rounding
+        # of 8193 and misses the demand by 2.2e-12 relative
+        _, prob = compiled(od_network((2,), (0.65,)))
+        assert np.array_equal(project(np.array([8193.0, 8193.0]), prob), [0.325, 0.325])
+
+    def test_flows_beyond_rounding_of_the_demand(self):
+        # 1e20 - 1 rounds to 1e20: from the raw flows no threshold qualifies
+        _, prob = compiled(od_network((3,), (1.0,)))
+        assert np.array_equal(project(np.array([1e20, 1e20, 0.0]), prob), [0.5, 0.5, 0.0])
+        assert np.array_equal(project(np.array([-1e20, 3.0, 1e20]), prob), [0.0, 0.0, 1.0])
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_characterises_the_simplex_projection(self, data):
@@ -189,6 +201,16 @@ class TestExtragradient:
         assert not res.converged
         assert res.iterations == 5
         assert len(res.residual_history) == 5
+
+    def test_nonconverged_histories_end_at_f_star(self):
+        net = standin_network()
+        rs, prob = compiled(net)
+        res = extragradient_solve(net, rs, P, PROFILE, SolverConfig(max_iter=5))
+        F, mu = assemble_F(res.f_star, prob)
+        assert np.array_equal(res.cmtt_per_route, F)
+        assert res.residual_history[-1] == natural_residual(res.f_star, F, prob)
+        assert res.antt_history[-1] == pytest.approx(
+            res.f_star @ mu / net.total_demand(), rel=1e-12)
 
     def test_risk_neutral_matches_mean_only(self):
         # lambda = alpha makes the combined index collapse to the mean
