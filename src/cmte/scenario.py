@@ -9,7 +9,8 @@ per-solve convergence logs and plot-ready ANTT-vs-lambda series.
 Within one (Theta, Q) cell the lambda series is solved as a
 continuation: each solve starts from the route flows of the last
 converged solve before it in the series, since the equilibrium moves
-little between neighbouring lambda values.  The first solve of each cell
+little between neighbouring lambda values, and ``extragradient_solve``
+first takes one Newton step from there.  The first solve of each cell
 starts cold, so a cell's rows do not depend on which other cells the
 sweep holds.
 

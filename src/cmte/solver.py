@@ -24,11 +24,27 @@ The solver is the classic two-projection extra-gradient iteration with
 backtracking on the step size, so no Lipschitz constant is needed up
 front.  It starts from tau = 1 / (1 + ||F(u0)||_inf); tau is multiplied
 by STEP_SHRINK = 0.5 until tau * ||F(u) - F(u_bar)|| <= NU * ||u - u_bar||
-(NU = 0.9) and by STEP_GROW = 1.1 after each accepted step.
+(NU = 0.9) and by STEP_GROW = 1.1 after each accepted step.  It stops
+when the natural residual meets the tolerance and every OD pair's
+relative Wardrop gap is at most GAP_TOL, the default tolerance of
+``wardrop_check``, so a converged result passes that check.
+
+A warm start (a caller's f0, such as the previous solve of a lambda
+series) first takes one damped Newton step on the used-route face
+(Bertsekas, SIAM J. Control Optim. 1982): routes within
+eps = min(1e-3 q, ||u - P(u - psi)||_inf over the OD) of zero whose
+index lies above the OD minimum are held at zero, and on the others the
+KKT system [J + rho I, -L^T; L, 0][d; pi] = [-psi; 0] is solved with the
+analytic Jacobian ``Problem.jacobian``.  Route flows need not be unique
+where routes share links, so J is singular there; the Levenberg term
+rho = 1e-3 ||u - P(u - psi)||_inf max|J| keeps the system solvable.  The
+step P(u + d) is kept only if it lowers the natural residual, so the
+extra-gradient iteration that follows is the one solver either way.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +60,7 @@ __all__ = ["SolverConfig", "EquilibriumResult", "WardropReport", "SolverError",
 STEP_SHRINK = 0.5  # backtracking: tau *= STEP_SHRINK until the test holds
 STEP_GROW = 1.1    # tau *= STEP_GROW after each accepted step
 NU = 0.9           # acceptance factor of the backtracking test
+GAP_TOL = 1e-3     # largest relative Wardrop gap of a converged solve
 
 
 class SolverError(RuntimeError):
@@ -62,6 +79,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass
@@ -96,6 +115,9 @@ class Problem:
     q: np.ndarray           # (w,) OD demands
     c: float                # risk coefficient: psi = mu + c * sigma
     od_routes: tuple[np.ndarray, ...]  # route indices of each OD pair
+    # per OD pair with positive demand: its routes (a slice when they are
+    # contiguous), its demand and the ranks 1..size, for ``project``
+    od_blocks: tuple[tuple[slice | np.ndarray, float, np.ndarray], ...]
 
     def moments(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Route (mu, sigma) at route flows f (negative flows count as 0)."""
@@ -104,9 +126,32 @@ class Problem:
         sigma = np.sqrt(self.delta.T @ (self.a_var * v ** (2 * self.n)))
         return mu, sigma
 
+    def jacobian(self, f: np.ndarray) -> np.ndarray:
+        """d psi / d f at route flows f (negative flows count as 0): the
+        mean part delta^T diag(n a_mean v^(n-1)) delta plus c times the
+        deviation part delta^T diag(n a_var v^(2n-1)) delta, whose row k is
+        divided by sigma_k (rows with sigma_k = 0 read 0)."""
+        n, delta = self.n, self.delta
+        v = delta @ np.maximum(f, 0.0)
+        j_mu = delta.T @ ((n * self.a_mean * v ** (n - 1))[:, None] * delta)
+        j_var = delta.T @ ((n * self.a_var * v ** (2 * n - 1))[:, None] * delta)
+        sigma = np.sqrt(delta.T @ (self.a_var * v ** (2 * n)))
+        inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0.0)
+        return j_mu + self.c * inv[:, None] * j_var
+
 
 def _od_routes(lambda_inc: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(np.flatnonzero(row) for row in lambda_inc)
+
+
+def _od_blocks(od_routes: tuple[np.ndarray, ...], q: np.ndarray) -> tuple:
+    blocks = []
+    for ks, demand in zip(od_routes, q):
+        if demand > 0:
+            contiguous = ks[-1] - ks[0] + 1 == ks.size
+            blocks.append((slice(ks[0], ks[-1] + 1) if contiguous else ks, demand,
+                           np.arange(1, ks.size + 1)))
+    return tuple(blocks)
 
 
 def compile_problem(net: Network, rs: RouteSet, p: BprParams, profile: RiskProfile,
@@ -136,10 +181,11 @@ def compile_problem(net: Network, rs: RouteSet, p: BprParams, profile: RiskProfi
             f"index not monotone on link {net.links[i].id}: mean coefficient "
             f"{a_mean[i]:.6g} < {-c:.6g} * std coefficient {np.sqrt(a_var[i]):.6g} "
             f"= {floor[i]:.6g}")
+    q = np.array([od.demand for od in net.od_pairs], dtype=float)
+    od_routes = _od_routes(rs.lambda_inc)
     return Problem(t0=t0, a_mean=a_mean, a_var=a_var, n=p.n, delta=rs.delta,
-                   lambda_inc=rs.lambda_inc,
-                   q=np.array([od.demand for od in net.od_pairs], dtype=float),
-                   c=c, od_routes=_od_routes(rs.lambda_inc))
+                   lambda_inc=rs.lambda_inc, q=q, c=c, od_routes=od_routes,
+                   od_blocks=_od_blocks(od_routes, q))
 
 
 def route_costs(f: np.ndarray, net: Network, rs: RouteSet, p: BprParams,
@@ -168,15 +214,14 @@ def project(u: np.ndarray, prob: Problem) -> np.ndarray:
     it rounds at the demand's scale rather than the flows' and the result
     meets the demand to rounding of the demand.
     """
-    x = np.zeros_like(u)
-    for ks, q in zip(prob.od_routes, prob.q):
-        if q <= 0:
-            continue
+    x = np.zeros(u.shape)
+    for ks, q, ranks in prob.od_blocks:
         y = u[ks]
-        y -= y.max()
+        y = y - y.max()
         s = np.sort(y)[::-1]
-        excess = np.cumsum(s) - q
-        rho = np.flatnonzero(s * np.arange(1, s.size + 1) > excess)[-1]
+        excess = np.add.accumulate(s) - q
+        keep = (s * ranks > excess)[::-1]  # s[0] = 0 > -q holds for finite u
+        rho = keep.size - 1 - keep.argmax()
         x[ks] = np.maximum(y - excess[rho] / (rho + 1), 0.0)
     return x
 
@@ -191,10 +236,13 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
                         profile: RiskProfile, cfg: SolverConfig = SolverConfig(),
                         f0: np.ndarray | None = None,
                         kind: IndexKind = IndexKind.CMTT) -> EquilibriumResult:
-    """Run the extra-gradient iteration until the natural residual meets tol.
+    """Run the extra-gradient iteration until the natural residual meets tol
+    and every OD's Wardrop gap is at most GAP_TOL.
 
-    Starts from f0 projected onto the demand simplices (default: each OD's
-    demand split equally over its routes).  Returns a result flagged
+    Starts from f0 projected onto the demand simplices, improved by one
+    Newton step on the used-route face when that lowers the natural
+    residual (see the module docstring); without f0, from each OD's
+    demand split equally over its routes.  Returns a result flagged
     ``converged=False`` if max_iter is exhausted; either way the last
     entries of its histories belong to f_star.  Raises SolverError on NaN
     or overflow and DomainError (from ``compile_problem``) outside the
@@ -202,31 +250,37 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
     """
     prob = compile_problem(net, rs, p, profile, kind)
     total_q = prob.q.sum()
-    if f0 is None:
+    warm = f0 is not None
+    if not warm:
         f0 = prob.lambda_inc.T @ (prob.q / np.maximum(prob.lambda_inc.sum(axis=1), 1.0))
     u = project(np.asarray(f0, dtype=float), prob)
-
     Fu, mu = assemble_F(u, prob)
+    if warm and np.all(np.isfinite(Fu)):
+        u, Fu, mu = _newton_warm_start(u, Fu, mu, prob)
+
     tau = 1.0 / (1.0 + np.abs(Fu).max())
     residuals, antts, steps = [], [], []
     converged = False
 
     for it in range(cfg.max_iter):
-        if not np.all(np.isfinite(u)) or not np.all(np.isfinite(Fu)):
+        # every route has a link, so a non-finite u gives a non-finite F(u)
+        if not np.all(np.isfinite(Fu)):
             raise SolverError(f"non-finite iterate at iteration {it}")
         res = natural_residual(u, Fu, prob)
         residuals.append(res)
         antts.append(float(u @ mu / total_q) if total_q > 0 else 0.0)
         steps.append(tau)
-        converged = res <= cfg.tol
+        converged = (res <= cfg.tol and
+                     _od_gaps(u, Fu, prob.od_routes, prob.q)[0].max(initial=0.0) <= GAP_TOL)
         if converged or it == cfg.max_iter - 1:
             break  # the histories end at f_star, converged or not
         # backtracking: shrink tau until the Lipschitz-proxy inequality holds
         while True:
             u_bar = project(u - tau * Fu, prob)
             F_bar, _ = assemble_F(u_bar, prob)
-            lhs = tau * np.linalg.norm(Fu - F_bar)
-            rhs = NU * np.linalg.norm(u - u_bar)
+            d_F, d_u = Fu - F_bar, u - u_bar
+            lhs = tau * math.sqrt(d_F @ d_F)  # the 2-norm, as np.linalg.norm takes it
+            rhs = NU * math.sqrt(d_u @ d_u)
             if lhs <= rhs or rhs == 0.0:
                 break
             tau *= STEP_SHRINK
@@ -242,6 +296,36 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
         residual_history=np.array(residuals), antt_history=np.array(antts),
         step_history=np.array(steps), cmtt_per_route=Fu,
         wardrop_gap=float(gaps.max(initial=0.0)), converged=converged)
+
+
+def _newton_warm_start(u: np.ndarray, Fu: np.ndarray, mu: np.ndarray,
+                       prob: Problem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, F(u), mu(u)) after one damped Newton step on the used-route face
+    from u, or the inputs when the step does not lower the natural
+    residual (see the module docstring)."""
+    w = u - project(u - Fu, prob)
+    free = np.ones(u.size, dtype=bool)
+    for ks, q in zip(prob.od_routes, prob.q):
+        if ks.size:
+            eps = min(1e-3 * q, np.abs(w[ks]).max())
+            free[ks] = (u[ks] > eps) | (Fu[ks] <= Fu[ks].min())
+    U = np.flatnonzero(free)
+    L = prob.lambda_inc[:, U]
+    L = L[L.any(axis=1)]
+    J = prob.jacobian(u)[np.ix_(U, U)]
+    rho = 1e-3 * np.abs(w).max() * np.abs(J).max()
+    K = np.block([[J + rho * np.eye(U.size), -L.T], [L, np.zeros((len(L), len(L)))]])
+    try:
+        sol = np.linalg.solve(K, np.concatenate([-Fu[U], np.zeros(len(L))]))
+    except np.linalg.LinAlgError:
+        return u, Fu, mu
+    d = -u
+    d[U] = sol[:U.size]
+    u_new = project(u + d, prob)
+    F_new, mu_new = assemble_F(u_new, prob)
+    if natural_residual(u_new, F_new, prob) < np.abs(w).max() / (1.0 + np.abs(u).max()):
+        return u_new, F_new, mu_new
+    return u, Fu, mu
 
 
 def _od_gaps(f: np.ndarray, psi: np.ndarray, od_routes: tuple[np.ndarray, ...],
@@ -261,7 +345,7 @@ def _od_gaps(f: np.ndarray, psi: np.ndarray, od_routes: tuple[np.ndarray, ...],
 
 
 def wardrop_check(result: EquilibriumResult, net: Network, rs: RouteSet,
-                  rel_tol: float = 1e-3) -> WardropReport:
+                  rel_tol: float = GAP_TOL) -> WardropReport:
     """Verify equalized-cost conditions at a converged point.
 
     Used routes (flow above 1e-4 of OD demand) must have index values

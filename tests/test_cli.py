@@ -41,6 +41,12 @@ def test_solve_nonconvergence_exit_code(toy_net):
     assert main(["solve", "--network", str(toy_net), "--max-iter", "2"]) == 2
 
 
+@pytest.mark.parametrize("max_iter", ["0", "-3"])
+def test_max_iter_below_one_exit_code(toy_net, capsys, max_iter):
+    assert main(["solve", "--network", str(toy_net), "--max-iter", max_iter]) == 1
+    assert "config error: max_iter must be >= 1" in capsys.readouterr().err
+
+
 def test_non_monotone_point_exit_code(standin_net, tmp_path, capsys):
     # heavy degradation with an optimistic index is outside the model's domain
     sc = tmp_path / "sc.json"

@@ -49,6 +49,10 @@ class TestScenarioConfig:
         with pytest.raises(ScenarioError, match="nu"):
             Scenario.from_json('{"solver": {"nu": 0.9}}')
 
+    def test_from_json_rejects_max_iter_below_one(self):
+        with pytest.raises(ScenarioError, match="max_iter"):
+            Scenario.from_json('{"solver": {"max_iter": 0}}')
+
     def test_from_json_rejects_bad_json(self):
         with pytest.raises(ScenarioError):
             Scenario.from_json("not json")
@@ -149,6 +153,12 @@ class TestContinuation:
             assert row.antt == pytest.approx(antt(cold.f_star, rs, mom, self.DEMAND),
                                              rel=1e-3)
         assert sum(r.iterations for r in warm) < cold_iterations
+
+    def test_warm_rows_converge_after_the_newton_step(self):
+        rows = self.cell((self.THETA,))
+        for row in rows[1:]:
+            assert row.converged and row.wardrop_ok
+            assert row.iterations <= 3
 
 
 class TestEmitResults:

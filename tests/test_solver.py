@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +8,9 @@ from cmte.bpr import BprParams, route_moments
 from cmte.indices import IndexKind, RiskProfile
 from cmte.network import Link, Network, ODPair, build_route_set, check_feasible, link_flows
 from cmte.presets import parallel_links_network, standin_network, three_route_toy
-from cmte.solver import (DomainError, SolverConfig, assemble_F, compile_problem,
-                         extragradient_solve, natural_residual, project, route_costs,
-                         wardrop_check)
+from cmte.solver import (GAP_TOL, DomainError, SolverConfig, _newton_warm_start,
+                         assemble_F, compile_problem, extragradient_solve,
+                         natural_residual, project, route_costs, wardrop_check)
 
 P = BprParams()
 PROFILE = RiskProfile(0.9, 0.5)
@@ -28,6 +30,99 @@ def od_network(route_counts, demands):
             lid += 1
         ods.append(ODPair(2 * i + 1, 2 * i + 2, q))
     return Network(tuple(links), tuple(ods))
+
+
+def grid_network(k, seed):
+    """k x k grid, two opposite links between neighbours, OD pairs corner to
+    corner on both diagonals; t0, capacity, theta and demands drawn from seed."""
+    rng = np.random.default_rng(seed)
+    links = []
+    for r in range(k):
+        for c in range(k):
+            for r2, c2 in ((r, c + 1), (r + 1, c)):
+                if r2 < k and c2 < k:
+                    a, b = r * k + c + 1, r2 * k + c2 + 1
+                    for tail, head in ((a, b), (b, a)):
+                        links.append(Link(len(links) + 1, tail, head,
+                                          round(rng.uniform(2, 8), 3),
+                                          round(rng.uniform(800, 2000)),
+                                          round(rng.uniform(0.6, 0.9), 2)))
+    ods = (ODPair(1, k * k, round(rng.uniform(800, 1500))),
+           ODPair(k, k * k - k + 1, round(rng.uniform(800, 1500))))
+    return Network(tuple(links), ods)
+
+
+def reference_project(u, prob):
+    """``project`` as a plain loop over each OD's route indices."""
+    x = np.zeros_like(u)
+    for ks, q in zip(prob.od_routes, prob.q):
+        if q <= 0:
+            continue
+        y = u[ks]
+        y -= y.max()
+        s = np.sort(y)[::-1]
+        excess = np.cumsum(s) - q
+        rho = np.flatnonzero(s * np.arange(1, s.size + 1) > excess)[-1]
+        x[ks] = np.maximum(y - excess[rho] / (rho + 1), 0.0)
+    return x
+
+
+def numeric_jacobian(prob, f, h):
+    """Central differences of assemble_F; second-order one-sided ones where
+    f - h would cross the kink of max(f, 0) at zero flow."""
+    cols = []
+    for j in range(f.size):
+        e = np.zeros(f.size)
+        e[j] = h
+        F = lambda x: assemble_F(x, prob)[0]  # noqa: E731
+        if f[j] >= h:
+            cols.append((F(f + e) - F(f - e)) / (2 * h))
+        else:
+            cols.append((4 * F(f + e) - F(f + 2 * e) - 3 * F(f)) / (2 * h))
+    return np.column_stack(cols)
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            SolverConfig(max_iter=max_iter)
+
+
+class TestJacobian:
+    @settings(max_examples=60, deadline=None)
+    @given(thetas=st.lists(st.one_of(st.just(1.0), st.floats(0.6, 1.0)),
+                           min_size=13, max_size=13),
+           flows=st.lists(st.one_of(st.just(0.0), st.floats(1.0, 3000.0)),
+                          min_size=6, max_size=6),
+           lam=st.floats(0.0, 1.0))
+    def test_matches_differences_of_F(self, thetas, flows, lam):
+        base = standin_network()
+        net = replace(base, links=tuple(replace(l, theta=t)
+                                         for l, t in zip(base.links, thetas)))
+        _, prob = compiled(net, RiskProfile(0.9, lam))
+        f = np.array(flows)
+        J = prob.jacobian(f)
+        assert np.allclose(J, numeric_jacobian(prob, f, 1e-2), rtol=1e-5,
+                           atol=1e-7 * np.abs(J).max(initial=1.0))
+
+    def test_rows_without_deviation_read_the_mean_part(self):
+        # routes 0 and 2 carry no flow on links of their own: sigma = 0 there
+        _, prob = compiled(parallel_links_network(n_links=3, demand=500.0))
+        f = np.array([0.0, 500.0, 0.0])
+        J = prob.jacobian(f)
+        assert np.array_equal(J[[0, 2]], np.zeros((2, 3)))
+        assert J[1, 1] > 0.0
+        assert np.allclose(J, numeric_jacobian(prob, f, 1e-2), rtol=1e-5, atol=1e-12)
+
+    def test_undegradable_links_leave_the_symmetric_mean_part(self):
+        # theta = 1 everywhere: sigma = 0 on every route and psi = mu, a
+        # gradient map, so J is symmetric
+        _, prob = compiled(standin_network(theta=1.0))
+        f = np.full(6, 4000.0 / 6)
+        J = prob.jacobian(f)
+        assert np.allclose(J, J.T, rtol=1e-14, atol=0.0)
+        assert np.allclose(J, numeric_jacobian(prob, f, 1e-2), rtol=1e-6, atol=0.0)
 
 
 class TestProject:
@@ -57,6 +152,22 @@ class TestProject:
         _, prob = compiled(od_network((3,), (1.0,)))
         assert np.array_equal(project(np.array([1e20, 1e20, 0.0]), prob), [0.5, 0.5, 0.0])
         assert np.array_equal(project(np.array([-1e20, 3.0, 1e20]), prob), [0.0, 0.0, 1.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_the_plain_loop(self, data):
+        # explicit routes may interleave OD pairs, so some blocks are not slices
+        counts = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        demands = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e4)),
+                                     min_size=len(counts), max_size=len(counts)))
+        net = od_network(counts, demands)
+        routes = [(l.id,) for l in net.links]
+        order = data.draw(st.permutations(range(len(routes))))
+        net = replace(net, preset_routes=tuple(routes[i] for i in order))
+        _, prob = compiled(net)
+        y = np.array(data.draw(st.lists(st.floats(-1e4, 1e4), min_size=len(routes),
+                                        max_size=len(routes))))
+        assert np.array_equal(project(y, prob), reference_project(y, prob))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -236,6 +347,60 @@ class TestExtragradient:
         warm = extragradient_solve(net, rs, P, PROFILE, f0=cold.f_star)
         assert warm.converged
         assert warm.iterations <= cold.iterations
+
+    def test_converged_certifies_the_wardrop_gap(self):
+        net = grid_network(3, seed=0)
+        rs = build_route_set(net)
+        res = extragradient_solve(net, rs, P, PROFILE)
+        assert res.converged and res.wardrop_gap <= GAP_TOL
+        assert wardrop_check(res, net, rs).passed
+        # where the residual alone first met tol, the gap was still too wide
+        tol = SolverConfig().tol
+        first = int(np.argmax(res.residual_history <= tol))
+        assert first < res.iterations - 1
+        cut = extragradient_solve(net, rs, P, PROFILE, SolverConfig(max_iter=first + 1))
+        assert cut.residual_history[-1] <= tol
+        assert cut.wardrop_gap > GAP_TOL
+        assert not cut.converged
+        assert not wardrop_check(cut, net, rs).passed
+
+
+class TestNewtonWarmStart:
+    def test_step_on_a_singular_face_is_finite(self):
+        # the stand-in's routes share links, so route flows are not unique and
+        # the Jacobian on the used routes is singular at an equilibrium
+        net = standin_network()
+        rs, prob = compiled(net, RiskProfile(0.9, 0.6))
+        u = extragradient_solve(net, rs, P, RiskProfile(0.9, 0.5)).f_star
+        used = np.flatnonzero(u > 1e-4 * net.total_demand())
+        J = prob.jacobian(u)[np.ix_(used, used)]
+        assert np.linalg.matrix_rank(J) < used.size
+        F, mu = assemble_F(u, prob)
+        u_new, F_new, mu_new = _newton_warm_start(u, F, mu, prob)
+        assert np.all(np.isfinite(u_new))
+        assert rs.lambda_inc @ u_new == pytest.approx([net.total_demand()], rel=1e-12)
+        assert natural_residual(u_new, F_new, prob) < natural_residual(u, F, prob)
+        assert np.array_equal((F_new, mu_new), assemble_F(u_new, prob))
+
+    def test_step_that_does_not_help_is_dropped(self):
+        # at an exact solution the residual cannot fall: the start point stays
+        net = parallel_links_network(n_links=2, demand=2000.0)
+        _, prob = compiled(net)
+        u = np.array([1000.0, 1000.0])
+        F, mu = assemble_F(u, prob)
+        assert natural_residual(u, F, prob) == 0.0
+        kept = _newton_warm_start(u, F, mu, prob)
+        assert kept[0] is u and kept[1] is F and kept[2] is mu
+
+    def test_cold_start_takes_no_newton_step(self):
+        # a cold solve runs the extra-gradient iteration from the equal split
+        net = standin_network()
+        rs = build_route_set(net)
+        cold = extragradient_solve(net, rs, P, PROFILE, SolverConfig(max_iter=1))
+        split = extragradient_solve(net, rs, P, PROFILE, SolverConfig(max_iter=1),
+                                    f0=np.full(6, 4000.0 / 6))
+        assert np.array_equal(cold.f_star, np.full(6, 4000.0 / 6))
+        assert not np.array_equal(split.f_star, cold.f_star)
 
 
 class TestTwoOdSolve:
