@@ -55,10 +55,19 @@ class RouteMoments:
 
 
 def bpr_time(link: Link, v, capacity, p: BprParams):
-    """Deterministic BPR travel time t0 * [1 + beta * (v/capacity)^n]."""
+    """Deterministic BPR travel time t0 * [1 + beta * (v/capacity)^n].
+
+    Array input gets one new array back, computed in place; scalar input
+    gets a numpy scalar.
+    """
     if np.any(np.asarray(capacity) <= 0):
         raise ValueError("capacity must be > 0")
-    return link.t0 * (1.0 + p.beta * (np.asarray(v, dtype=float) / capacity) ** p.n)
+    t = np.asarray(np.divide(np.asarray(v, dtype=float), capacity))
+    np.power(t, p.n, out=t)
+    t *= p.beta
+    t += 1.0
+    t *= link.t0
+    return t if t.ndim else t[()]
 
 
 @cache

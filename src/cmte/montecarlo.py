@@ -9,6 +9,15 @@ CI_MULTIPLIER = 3 of them.
 
 Sampling uses numpy's seeded PCG64 generator; a fixed seed gives
 bitwise-identical estimates across runs.
+
+The estimators own their sample buffer and work on it in place.  The
+link times from ``bpr.bpr_time`` are centred and squared in that one
+array, which gives the variance bit for bit as ``np.var(ddof=1)`` does,
+then squared again for the fourth central moment.  Each square is one
+correctly rounded multiply; ``** 4`` would call ``pow``, which is slow
+on the negative centred values.  The tail split selects the order
+statistic with ``ndarray.partition``, O(N), instead of sorting: the two
+sides hold the same samples as after a sort, only in another order.
 """
 
 from __future__ import annotations
@@ -35,8 +44,8 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples < 10 ** 4:
-            raise ValueError(f"samples must be >= 1e4, got {self.samples}")
+        if not isinstance(self.samples, (int, np.integer)) or self.samples < 10 ** 4:
+            raise ValueError(f"samples must be an integer >= 1e4, got {self.samples!r}")
 
 
 @dataclass(frozen=True)
@@ -68,9 +77,11 @@ def mc_link_moments(link: Link, v: float, p: BprParams, cfg: McConfig) -> McMome
     caps = rng.uniform(link.theta * link.cap_design, link.cap_design, size=n)
     t = bpr.bpr_time(link, v, caps, p)
     mean = float(t.mean())
-    var = float(t.var(ddof=1))
-    centered = t - mean
-    m4 = float((centered ** 4).mean())
+    t -= mean
+    t *= t
+    var = float(t.sum() / (n - 1))
+    t *= t
+    m4 = float(t.mean())
     mean_se = math.sqrt(var / n)
     var_se = math.sqrt(max(m4 - var ** 2, 0.0) / n)
     return McMoments(mean, var, mean_se, var_se)
@@ -81,13 +92,19 @@ def mc_tail_means(mu: float, sigma: float, alpha: float, cfg: McConfig) -> McTai
 
     The quantile is the order statistic at index ceil(alpha * N)
     (lower-tail inclusive).  Samples at-or-below it estimate the
-    mean-below index, the rest the mean-excess index.
+    mean-below index, the rest the mean-excess index; each side needs at
+    least two samples for its standard error.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
-    rng = np.random.default_rng(cfg.seed)
-    s = np.sort(rng.normal(mu, sigma, size=cfg.samples))
+    if not (0.0 < alpha < 1.0 and math.isfinite(mu) and 0.0 < sigma < math.inf):
+        raise ValueError("need 0 < alpha < 1, finite mu and finite sigma > 0, "
+                         f"got alpha={alpha!r}, mu={mu!r}, sigma={sigma!r}")
     m = math.ceil(alpha * cfg.samples)
+    if not 2 <= m <= cfg.samples - 2:
+        raise ValueError(f"alpha = {alpha!r} leaves {m} of {cfg.samples} samples "
+                         "below the split; each side needs at least 2")
+    rng = np.random.default_rng(cfg.seed)
+    s = rng.normal(mu, sigma, size=cfg.samples)
+    s.partition(m - 1)
     below, excess = s[:m], s[m:]
     return McTails(
         below_mean=float(below.mean()),

@@ -42,6 +42,22 @@ class TestBprTime:
         with pytest.raises(ValueError):
             bpr_time(make_link(), 100.0, 0.0, P)
 
+    def test_capacity_domain_of_an_array(self):
+        with pytest.raises(ValueError):
+            bpr_time(make_link(), 100.0, np.array([1000.0, -1.0, 900.0]), P)
+
+    def test_scalar_in_scalar_out(self):
+        t = bpr_time(make_link(), 1000.0, 900.0, P)
+        assert isinstance(t, np.float64) and np.ndim(t) == 0
+
+    def test_leaves_the_capacity_array_unchanged(self):
+        caps = np.array([800.0, 1000.0, 1200.0])
+        kept = caps.copy()
+        t = bpr_time(make_link(), 1000.0, caps, P)
+        assert np.array_equal(caps, kept)
+        assert t is not caps and not np.shares_memory(t, caps)
+        assert np.array_equal(t, 10.0 * (1.0 + 0.15 * (1000.0 / kept) ** 4))
+
 
 class TestLinkMean:
     def test_free_flow(self):
