@@ -137,7 +137,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
+        print(f"solver error ({exc.reason}): {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -29,8 +29,7 @@ when the natural residual meets the tolerance and every OD pair's
 relative Wardrop gap is at most GAP_TOL, the default tolerance of
 ``wardrop_check``, so a converged result passes that check.
 
-A warm start (a caller's f0, such as the previous solve of a lambda
-series) first takes one damped Newton step on the used-route face
+Some iterations first try a damped Newton step on the used-route face
 (Bertsekas, SIAM J. Control Optim. 1982): routes within
 eps = min(1e-3 q, ||u - P(u - psi)||_inf over the OD) of zero whose
 index lies above the OD minimum are held at zero, and on the others the
@@ -38,8 +37,22 @@ KKT system [J + rho I, -L^T; L, 0][d; pi] = [-psi; 0] is solved with the
 analytic Jacobian ``Problem.jacobian``.  Route flows need not be unique
 where routes share links, so J is singular there; the Levenberg term
 rho = 1e-3 ||u - P(u - psi)||_inf max|J| keeps the system solvable.  The
-step P(u + d) is kept only if it lowers the natural residual, so the
-extra-gradient iteration that follows is the one solver either way.
+step P(u + d) replaces the iterate only if it lowers the natural
+residual.  A try takes u - P(u - psi) from its iteration, and a kept
+step's own residual vector serves the rest of the iteration, so a try
+costs the Jacobian, one KKT solve, one F evaluation and two projections
+(the step and its residual).
+A warm start (a caller's f0, such as the previous solve of a lambda
+series) tries at iteration 0.  A cold start tries first at iteration
+NEWTON_FIRST = 2, never from the equal split, where a Newton step was
+found to slow the solve.  After a kept try the next one comes at the
+next iteration; each rejected try multiplies that gap by
+NEWTON_BACKOFF = 2, so a solve where the steps fail pays for few of
+them.  The extra-gradient steps between tries are unchanged.
+
+Each result says why the solve stopped and what it cost (F evaluations,
+backtracks, Newton steps tried and kept); a :class:`SolverError` says
+why it broke down and carries the residuals recorded until then.
 """
 
 from __future__ import annotations
@@ -61,10 +74,22 @@ STEP_SHRINK = 0.5  # backtracking: tau *= STEP_SHRINK until the test holds
 STEP_GROW = 1.1    # tau *= STEP_GROW after each accepted step
 NU = 0.9           # acceptance factor of the backtracking test
 GAP_TOL = 1e-3     # largest relative Wardrop gap of a converged solve
+NEWTON_FIRST = 2    # iteration of a cold solve's first face-Newton try
+NEWTON_BACKOFF = 2  # a rejected try multiplies the gap to the next one by this
 
 
 class SolverError(RuntimeError):
-    """Numerical breakdown (NaN/overflow) during a solve."""
+    """Numerical breakdown during a solve.
+
+    ``reason`` is "non_finite" (NaN or overflow in an iterate) or
+    "step_underflow" (no step size passed the backtracking test);
+    ``residual_history`` holds the natural residuals recorded before it.
+    """
+
+    def __init__(self, message: str, reason: str, residual_history: np.ndarray):
+        super().__init__(message)
+        self.reason = reason
+        self.residual_history = residual_history
 
 
 class DomainError(ValueError):
@@ -94,6 +119,11 @@ class EquilibriumResult:
     cmtt_per_route: np.ndarray
     wardrop_gap: float
     converged: bool
+    stop_reason: str     # "converged" or "max_iter"
+    f_evals: int         # evaluations of F, trial points and Newton tries included
+    backtracks: int      # step-size shrinks of the backtracking search
+    newton_tried: int    # face-Newton steps evaluated
+    newton_kept: int     # ... of which lowered the natural residual
 
 
 @dataclass(frozen=True)
@@ -228,8 +258,7 @@ def project(u: np.ndarray, prob: Problem) -> np.ndarray:
 
 def natural_residual(u: np.ndarray, F_u: np.ndarray, prob: Problem) -> float:
     """||u - P(u - F(u))||_inf / (1 + ||u||_inf); zero exactly at solutions."""
-    r = np.abs(u - project(u - F_u, prob)).max()
-    return float(r / (1.0 + np.abs(u).max()))
+    return _scaled_max(u - project(u - F_u, prob), u)
 
 
 def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
@@ -239,34 +268,54 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
     """Run the extra-gradient iteration until the natural residual meets tol
     and every OD's Wardrop gap is at most GAP_TOL.
 
-    Starts from f0 projected onto the demand simplices, improved by one
-    Newton step on the used-route face when that lowers the natural
-    residual (see the module docstring); without f0, from each OD's
-    demand split equally over its routes.  Returns a result flagged
-    ``converged=False`` if max_iter is exhausted; either way the last
+    Starts from f0 projected onto the demand simplices (a warm start);
+    without f0, from each OD's demand split equally over its routes (a
+    cold start).  Every so often an iteration first tries a Newton step
+    on the used-route face and keeps it only if it lowers the natural
+    residual (see the module docstring): a warm solve tries at iteration
+    0, a cold one at iteration NEWTON_FIRST, and the gap to the next try
+    is 1 after a kept try and multiplied by NEWTON_BACKOFF after a
+    rejected one.  Returns a result flagged ``converged=False`` (stop
+    reason "max_iter") if max_iter is exhausted; either way the last
     entries of its histories belong to f_star.  Raises SolverError on NaN
-    or overflow and DomainError (from ``compile_problem``) outside the
-    model's domain.
+    or overflow and on step-size underflow, and DomainError (from
+    ``compile_problem``) outside the model's domain.
     """
     prob = compile_problem(net, rs, p, profile, kind)
     total_q = prob.q.sum()
-    warm = f0 is not None
-    if not warm:
+    if f0 is None:
         f0 = prob.lambda_inc.T @ (prob.q / np.maximum(prob.lambda_inc.sum(axis=1), 1.0))
+        next_try = NEWTON_FIRST
+    else:
+        next_try = 0
     u = project(np.asarray(f0, dtype=float), prob)
     Fu, mu = assemble_F(u, prob)
-    if warm and np.all(np.isfinite(Fu)):
-        u, Fu, mu = _newton_warm_start(u, Fu, mu, prob)
-
-    tau = 1.0 / (1.0 + np.abs(Fu).max())
+    f_evals, backtracks, tried, kept, gap = 1, 0, 0, 0, 1
     residuals, antts, steps = [], [], []
     converged = False
 
     for it in range(cfg.max_iter):
         # every route has a link, so a non-finite u gives a non-finite F(u)
         if not np.all(np.isfinite(Fu)):
-            raise SolverError(f"non-finite iterate at iteration {it}")
-        res = natural_residual(u, Fu, prob)
+            raise SolverError(f"non-finite iterate at iteration {it}", "non_finite",
+                              np.array(residuals))
+        w = u - project(u - Fu, prob)
+        res = _scaled_max(w, u)
+        if it == next_try:
+            step = _face_newton(u, Fu, w, prob)
+            res_step = math.inf
+            if step is not None:  # None: the face's KKT system was singular
+                tried += 1
+                f_evals += 1
+                res_step = _scaled_max(step[3], step[0])
+            if res_step < res:  # a NaN residual fails this too
+                u, Fu, mu, w = step
+                res, kept, gap = res_step, kept + 1, 1
+            else:
+                gap *= NEWTON_BACKOFF
+            next_try = it + gap
+        if it == 0:  # after a warm start's try, so the step fits its F
+            tau = 1.0 / (1.0 + np.abs(Fu).max())
         residuals.append(res)
         antts.append(float(u @ mu / total_q) if total_q > 0 else 0.0)
         steps.append(tau)
@@ -278,16 +327,20 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
         while True:
             u_bar = project(u - tau * Fu, prob)
             F_bar, _ = assemble_F(u_bar, prob)
+            f_evals += 1
             d_F, d_u = Fu - F_bar, u - u_bar
             lhs = tau * math.sqrt(d_F @ d_F)  # the 2-norm, as np.linalg.norm takes it
             rhs = NU * math.sqrt(d_u @ d_u)
             if lhs <= rhs or rhs == 0.0:
                 break
             tau *= STEP_SHRINK
+            backtracks += 1
             if tau < 1e-14:
-                raise SolverError(f"step size underflow at iteration {it}")
+                raise SolverError(f"step size underflow at iteration {it}",
+                                  "step_underflow", np.array(residuals))
         u = project(u - tau * F_bar, prob)
         Fu, mu = assemble_F(u, prob)
+        f_evals += 1
         tau *= STEP_GROW
 
     gaps, min_costs = _od_gaps(u, Fu, prob.od_routes, prob.q)
@@ -295,15 +348,22 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
         f_star=u, pi_star=min_costs, iterations=len(residuals),
         residual_history=np.array(residuals), antt_history=np.array(antts),
         step_history=np.array(steps), cmtt_per_route=Fu,
-        wardrop_gap=float(gaps.max(initial=0.0)), converged=converged)
+        wardrop_gap=float(gaps.max(initial=0.0)), converged=converged,
+        stop_reason="converged" if converged else "max_iter", f_evals=f_evals,
+        backtracks=backtracks, newton_tried=tried, newton_kept=kept)
 
 
-def _newton_warm_start(u: np.ndarray, Fu: np.ndarray, mu: np.ndarray,
-                       prob: Problem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, F(u), mu(u)) after one damped Newton step on the used-route face
-    from u, or the inputs when the step does not lower the natural
-    residual (see the module docstring)."""
-    w = u - project(u - Fu, prob)
+def _scaled_max(w: np.ndarray, u: np.ndarray) -> float:
+    """||w||_inf / (1 + ||u||_inf): the natural residual when w = u - P(u - F(u))."""
+    return float(np.abs(w).max() / (1.0 + np.abs(u).max()))
+
+
+def _face_newton(u: np.ndarray, Fu: np.ndarray, w: np.ndarray, prob: Problem
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """The damped Newton step on the used-route face from u, given F(u) and
+    w = u - P(u - F(u)) (see the module docstring), as the new point u',
+    F(u'), mu(u') and u' - P(u' - F(u')); None when its KKT system is
+    singular."""
     free = np.ones(u.size, dtype=bool)
     for ks, q in zip(prob.od_routes, prob.q):
         if ks.size:
@@ -318,14 +378,12 @@ def _newton_warm_start(u: np.ndarray, Fu: np.ndarray, mu: np.ndarray,
     try:
         sol = np.linalg.solve(K, np.concatenate([-Fu[U], np.zeros(len(L))]))
     except np.linalg.LinAlgError:
-        return u, Fu, mu
+        return None
     d = -u
     d[U] = sol[:U.size]
     u_new = project(u + d, prob)
     F_new, mu_new = assemble_F(u_new, prob)
-    if natural_residual(u_new, F_new, prob) < np.abs(w).max() / (1.0 + np.abs(u).max()):
-        return u_new, F_new, mu_new
-    return u, Fu, mu
+    return u_new, F_new, mu_new, u_new - project(u_new - F_new, prob)
 
 
 def _od_gaps(f: np.ndarray, psi: np.ndarray, od_routes: tuple[np.ndarray, ...],

@@ -41,6 +41,13 @@ def test_solve_nonconvergence_exit_code(toy_net):
     assert main(["solve", "--network", str(toy_net), "--max-iter", "2"]) == 2
 
 
+def test_solver_breakdown_exit_code(toy_net, capsys, monkeypatch):
+    # no step can pass the backtracking test with this acceptance factor
+    monkeypatch.setattr("cmte.solver.NU", 1e-300)
+    assert main(["solve", "--network", str(toy_net)]) == 2
+    assert "solver error (step_underflow): step size underflow" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("max_iter", ["0", "-3"])
 def test_max_iter_below_one_exit_code(toy_net, capsys, max_iter):
     assert main(["solve", "--network", str(toy_net), "--max-iter", max_iter]) == 1

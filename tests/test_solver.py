@@ -8,7 +8,8 @@ from cmte.bpr import BprParams, route_moments
 from cmte.indices import IndexKind, RiskProfile
 from cmte.network import Link, Network, ODPair, build_route_set, check_feasible, link_flows
 from cmte.presets import parallel_links_network, standin_network, three_route_toy
-from cmte.solver import (GAP_TOL, DomainError, SolverConfig, _newton_warm_start,
+import cmte.solver
+from cmte.solver import (GAP_TOL, DomainError, SolverConfig, SolverError, _face_newton,
                          assemble_F, compile_problem, extragradient_solve,
                          natural_residual, project, route_costs, wardrop_check)
 
@@ -274,7 +275,7 @@ class TestExtragradient:
         net = parallel_links_network(n_links=2, demand=2000.0)
         rs = build_route_set(net)
         res = extragradient_solve(net, rs, P, PROFILE)
-        assert res.converged
+        assert res.converged and res.stop_reason == "converged"
         assert res.f_star == pytest.approx([1000.0, 1000.0], abs=1e-3 * 2000)
 
     def test_single_route(self):
@@ -309,7 +310,7 @@ class TestExtragradient:
         net = standin_network()
         rs = build_route_set(net)
         res = extragradient_solve(net, rs, P, PROFILE, SolverConfig(max_iter=5))
-        assert not res.converged
+        assert not res.converged and res.stop_reason == "max_iter"
         assert res.iterations == 5
         assert len(res.residual_history) == 5
 
@@ -349,7 +350,8 @@ class TestExtragradient:
         assert warm.iterations <= cold.iterations
 
     def test_converged_certifies_the_wardrop_gap(self):
-        net = grid_network(3, seed=0)
+        # here the residual meets tol at iteration 5, the gap only at 6
+        net = grid_network(3, seed=2)
         rs = build_route_set(net)
         res = extragradient_solve(net, rs, P, PROFILE)
         assert res.converged and res.wardrop_gap <= GAP_TOL
@@ -376,21 +378,24 @@ class TestNewtonWarmStart:
         J = prob.jacobian(u)[np.ix_(used, used)]
         assert np.linalg.matrix_rank(J) < used.size
         F, mu = assemble_F(u, prob)
-        u_new, F_new, mu_new = _newton_warm_start(u, F, mu, prob)
+        w = u - project(u - F, prob)
+        u_new, F_new, mu_new, w_new = _face_newton(u, F, w, prob)
         assert np.all(np.isfinite(u_new))
         assert rs.lambda_inc @ u_new == pytest.approx([net.total_demand()], rel=1e-12)
         assert natural_residual(u_new, F_new, prob) < natural_residual(u, F, prob)
         assert np.array_equal((F_new, mu_new), assemble_F(u_new, prob))
+        assert np.array_equal(w_new, u_new - project(u_new - F_new, prob))
 
     def test_step_that_does_not_help_is_dropped(self):
         # at an exact solution the residual cannot fall: the start point stays
         net = parallel_links_network(n_links=2, demand=2000.0)
-        _, prob = compiled(net)
+        rs, prob = compiled(net)
         u = np.array([1000.0, 1000.0])
-        F, mu = assemble_F(u, prob)
+        F, _ = assemble_F(u, prob)
         assert natural_residual(u, F, prob) == 0.0
-        kept = _newton_warm_start(u, F, mu, prob)
-        assert kept[0] is u and kept[1] is F and kept[2] is mu
+        res = extragradient_solve(net, rs, P, PROFILE, f0=u)
+        assert (res.newton_tried, res.newton_kept) == (1, 0)
+        assert np.array_equal(res.f_star, u) and res.iterations == 1
 
     def test_cold_start_takes_no_newton_step(self):
         # a cold solve runs the extra-gradient iteration from the equal split
@@ -400,7 +405,88 @@ class TestNewtonWarmStart:
         split = extragradient_solve(net, rs, P, PROFILE, SolverConfig(max_iter=1),
                                     f0=np.full(6, 4000.0 / 6))
         assert np.array_equal(cold.f_star, np.full(6, 4000.0 / 6))
+        assert cold.newton_tried == 0
         assert not np.array_equal(split.f_star, cold.f_star)
+
+
+class TestFaceNewtonSchedule:
+    def test_kept_steps_lower_the_residual(self, monkeypatch):
+        # every step a try evaluates is recorded with the residual before it;
+        # a kept one is the iterate of its iteration, so its residual is in
+        # the history, exactly as the candidate's was computed
+        tries = []
+
+        def recorded(u, Fu, w, prob):
+            step = _face_newton(u, Fu, w, prob)
+            if step is not None:
+                tries.append((natural_residual(u, Fu, prob),
+                              natural_residual(step[0], step[1], prob)))
+            return step
+
+        monkeypatch.setattr(cmte.solver, "_face_newton", recorded)
+        rejected = 0
+        for net in (standin_network(), grid_network(3, seed=1), TestTwoOdSolve.NET):
+            tries.clear()
+            res = extragradient_solve(net, build_route_set(net), P, PROFILE)
+            assert res.converged and res.newton_tried == len(tries)
+            kept = [(before, after) for before, after in tries
+                    if after in res.residual_history]
+            assert len(kept) == res.newton_kept > 0
+            assert all(after < before for before, after in kept)
+            rejected += res.newton_tried - res.newton_kept
+        assert rejected > 0  # the back-off was exercised too
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_f_evals_add_up(self, warm):
+        # one F(u0), then per iteration but the last its backtracking trials
+        # and the F(u) of its accepted step, plus one F per Newton try; both
+        # solves start from the equal split, the warm one tries there
+        net = grid_network(3, seed=1)
+        rs = build_route_set(net)
+        q = np.array([od.demand for od in net.od_pairs])
+        split = rs.lambda_inc.T @ (q / rs.lambda_inc.sum(axis=1))
+        f0 = split if warm else None
+        res = extragradient_solve(net, rs, P, PROFILE, f0=f0)
+        steps = res.iterations - 1
+        trials = steps + res.backtracks
+        assert res.f_evals == 1 + trials + steps + res.newton_tried
+        assert res.newton_tried >= 1 and res.backtracks >= 1
+
+    def test_warm_solve_tries_first(self):
+        net = standin_network()
+        rs = build_route_set(net)
+        cold = extragradient_solve(net, rs, P, PROFILE, SolverConfig(max_iter=3))
+        warm = extragradient_solve(net, rs, P, PROFILE, SolverConfig(max_iter=1),
+                                   f0=cold.f_star)
+        assert cold.newton_tried == 1  # at iteration 2, none from the equal split
+        assert warm.newton_tried == 1
+
+
+class TestSolverError:
+    def test_non_finite_iterate(self, monkeypatch):
+        calls = []
+
+        def poisoned(u, prob):
+            calls.append(None)
+            F, mu = assemble_F(u, prob)
+            return (F * np.nan, mu) if len(calls) == 3 else (F, mu)
+
+        # the 3rd evaluation is F at the first accepted step
+        monkeypatch.setattr(cmte.solver, "assemble_F", poisoned)
+        net = standin_network()
+        with pytest.raises(SolverError, match="iteration 1") as info:
+            extragradient_solve(net, build_route_set(net), P, PROFILE)
+        assert info.value.reason == "non_finite"
+        assert len(info.value.residual_history) == 1
+
+    def test_step_underflow(self, monkeypatch):
+        # no step can pass the backtracking test with this acceptance factor
+        monkeypatch.setattr(cmte.solver, "NU", 1e-300)
+        net = standin_network()
+        with pytest.raises(SolverError, match="underflow at iteration 0") as info:
+            extragradient_solve(net, build_route_set(net), P, PROFILE)
+        assert info.value.reason == "step_underflow"
+        assert len(info.value.residual_history) == 1
 
 
 class TestTwoOdSolve:
