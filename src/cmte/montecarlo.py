@@ -5,7 +5,9 @@ empirical counterpart here: link travel-time moments are estimated by
 sampling the uniform capacity, conditional tail means by sampling the
 normal route time and splitting at the empirical quantile.  Estimates
 come with standard errors, and ``oracle_report`` asserts agreement within
-CI_MULTIPLIER = 3 of them.
+CI_MULTIPLIER = 3 of them.  A tail mean's standard error includes the
+variance that estimating the split point adds (see ``mc_tail_means``),
+so its z-scores spread with standard deviation 1.
 
 Sampling uses numpy's seeded PCG64 generator; a fixed seed gives
 bitwise-identical estimates across runs.
@@ -90,29 +92,39 @@ def mc_link_moments(link: Link, v: float, p: BprParams, cfg: McConfig) -> McMome
 def mc_tail_means(mu: float, sigma: float, alpha: float, cfg: McConfig) -> McTails:
     """Empirical conditional means of N(mu, sigma) split at the alpha-quantile.
 
-    The quantile is the order statistic at index ceil(alpha * N)
+    The quantile q is the order statistic at index m = ceil(alpha * N)
     (lower-tail inclusive).  Samples at-or-below it estimate the
     mean-below index, the rest the mean-excess index; each side needs at
     least two samples for its standard error.
+
+    The split point is itself estimated, which adds to each mean's
+    variance (Manistre & Hancock, N. Am. Actuarial J. 2005):
+
+        excess_se^2 = (var(excess) + (m / N) (mean_excess - q)^2) / (N - m)
+        below_se^2 = (var(below) + ((N - m) / N) (q - mean_below)^2) / m
+
+    with var the sample variance of that side (ddof=1).  Without the
+    second terms the mean-excess standard error is about 1.5x too small.
     """
     if not (0.0 < alpha < 1.0 and math.isfinite(mu) and 0.0 < sigma < math.inf):
         raise ValueError("need 0 < alpha < 1, finite mu and finite sigma > 0, "
                          f"got alpha={alpha!r}, mu={mu!r}, sigma={sigma!r}")
-    m = math.ceil(alpha * cfg.samples)
-    if not 2 <= m <= cfg.samples - 2:
-        raise ValueError(f"alpha = {alpha!r} leaves {m} of {cfg.samples} samples "
+    n = cfg.samples
+    m = math.ceil(alpha * n)
+    if not 2 <= m <= n - 2:
+        raise ValueError(f"alpha = {alpha!r} leaves {m} of {n} samples "
                          "below the split; each side needs at least 2")
     rng = np.random.default_rng(cfg.seed)
-    s = rng.normal(mu, sigma, size=cfg.samples)
+    s = rng.normal(mu, sigma, size=n)
     s.partition(m - 1)
     below, excess = s[:m], s[m:]
-    return McTails(
-        below_mean=float(below.mean()),
-        excess_mean=float(excess.mean()),
-        quantile=float(s[m - 1]),
-        below_se=float(below.std(ddof=1) / math.sqrt(below.size)),
-        excess_se=float(excess.std(ddof=1) / math.sqrt(excess.size)),
-    )
+    q = float(s[m - 1])
+    below_mean, excess_mean = float(below.mean()), float(excess.mean())
+    below_var = float(below.var(ddof=1)) + (n - m) / n * (q - below_mean) ** 2
+    excess_var = float(excess.var(ddof=1)) + m / n * (excess_mean - q) ** 2
+    return McTails(below_mean=below_mean, excess_mean=excess_mean, quantile=q,
+                   below_se=math.sqrt(below_var / m),
+                   excess_se=math.sqrt(excess_var / (n - m)))
 
 
 def oracle_report(net: Network, p: BprParams, cfg: McConfig,

@@ -29,19 +29,23 @@ when the natural residual meets the tolerance and every OD pair's
 relative Wardrop gap is at most GAP_TOL, the default tolerance of
 ``wardrop_check``, so a converged result passes that check.
 
-Some iterations first try a damped Newton step on the used-route face
+Some iterations first try a Newton step on the used-route face
 (Bertsekas, SIAM J. Control Optim. 1982): routes within
 eps = min(1e-3 q, ||u - P(u - psi)||_inf over the OD) of zero whose
 index lies above the OD minimum are held at zero, and on the others the
-KKT system [J + rho I, -L^T; L, 0][d; pi] = [-psi; 0] is solved with the
-analytic Jacobian ``Problem.jacobian``.  Route flows need not be unique
-where routes share links, so J is singular there; the Levenberg term
-rho = 1e-3 ||u - P(u - psi)||_inf max|J| keeps the system solvable.  The
-step P(u + d) replaces the iterate only if it lowers the natural
-residual.  A try takes u - P(u - psi) from its iteration, and a kept
-step's own residual vector serves the rest of the iteration, so a try
-costs the Jacobian, one KKT solve, one F evaluation and two projections
-(the step and its residual).
+KKT system [J, -L^T; L, 0][d; pi] = [-psi; 0] is solved with the
+analytic Jacobian ``Problem.jacobian``.  Route costs are not additive
+(sigma is not), and where routes share links route flows are not unique
+(Gabriel & Bernstein, Transp. Sci. 1997): psi depends on f only through
+the link flows, so J is singular along the null space of delta.  The
+system is therefore solved at minimum norm by least squares, with
+singular values below NEWTON_RCOND = 1e-12 of the largest taken as
+zero, so the step moves nothing along directions that leave psi
+unchanged.  The step P(u + d) replaces the iterate only if it lowers the
+natural residual.  A try takes u - P(u - psi) from its iteration, and a
+kept step's own residual vector serves the rest of the iteration, so a
+try costs the Jacobian, one KKT solve, one F evaluation and two
+projections (the step and its residual).
 A warm start (a caller's f0, such as the previous solve of a lambda
 series) tries at iteration 0.  A cold start tries first at iteration
 NEWTON_FIRST = 2, never from the equal split, where a Newton step was
@@ -76,6 +80,7 @@ NU = 0.9           # acceptance factor of the backtracking test
 GAP_TOL = 1e-3     # largest relative Wardrop gap of a converged solve
 NEWTON_FIRST = 2    # iteration of a cold solve's first face-Newton try
 NEWTON_BACKOFF = 2  # a rejected try multiplies the gap to the next one by this
+NEWTON_RCOND = 1e-12  # singular values below this share of the largest count as 0
 
 
 class SolverError(RuntimeError):
@@ -304,7 +309,7 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
         if it == next_try:
             step = _face_newton(u, Fu, w, prob)
             res_step = math.inf
-            if step is not None:  # None: the face's KKT system was singular
+            if step is not None:  # None: the face's KKT system was not finite
                 tried += 1
                 f_evals += 1
                 res_step = _scaled_max(step[3], step[0])
@@ -360,10 +365,11 @@ def _scaled_max(w: np.ndarray, u: np.ndarray) -> float:
 
 def _face_newton(u: np.ndarray, Fu: np.ndarray, w: np.ndarray, prob: Problem
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """The damped Newton step on the used-route face from u, given F(u) and
-    w = u - P(u - F(u)) (see the module docstring), as the new point u',
-    F(u'), mu(u') and u' - P(u' - F(u')); None when its KKT system is
-    singular."""
+    """The minimum-norm Newton step on the used-route face from u, given
+    F(u) and w = u - P(u - F(u)) (see the module docstring), as the new
+    point u', F(u'), mu(u') and u' - P(u' - F(u')); None when its KKT
+    system is not finite, on which LAPACK's least-squares solver raises or
+    never returns."""
     free = np.ones(u.size, dtype=bool)
     for ks, q in zip(prob.od_routes, prob.q):
         if ks.size:
@@ -372,15 +378,17 @@ def _face_newton(u: np.ndarray, Fu: np.ndarray, w: np.ndarray, prob: Problem
     U = np.flatnonzero(free)
     L = prob.lambda_inc[:, U]
     L = L[L.any(axis=1)]
-    J = prob.jacobian(u)[np.ix_(U, U)]
-    rho = 1e-3 * np.abs(w).max() * np.abs(J).max()
-    K = np.block([[J + rho * np.eye(U.size), -L.T], [L, np.zeros((len(L), len(L)))]])
-    try:
-        sol = np.linalg.solve(K, np.concatenate([-Fu[U], np.zeros(len(L))]))
-    except np.linalg.LinAlgError:
+    m = U.size
+    K = np.zeros((m + len(L), m + len(L)))
+    K[:m, :m] = prob.jacobian(u)[np.ix_(U, U)]
+    K[:m, m:] = -L.T
+    K[m:, :m] = L
+    if not np.isfinite(K).all():
         return None
+    rhs = np.zeros(len(K))
+    rhs[:m] = -Fu[U]
     d = -u
-    d[U] = sol[:U.size]
+    d[U] = np.linalg.lstsq(K, rhs, rcond=NEWTON_RCOND)[0][:m]
     u_new = project(u + d, prob)
     F_new, mu_new = assemble_F(u_new, prob)
     return u_new, F_new, mu_new, u_new - project(u_new - F_new, prob)

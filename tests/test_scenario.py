@@ -8,6 +8,7 @@ from cmte.bpr import BprParams, route_moments
 from cmte.indices import RiskProfile
 from cmte.network import build_route_set, link_flows
 from cmte.presets import standin_network, three_route_toy
+import cmte.scenario
 from cmte.scenario import (Scenario, ScenarioError, SweepResult, antt,
                            emit_results, run_scenario)
 from cmte.solver import SolverConfig, extragradient_solve, route_costs, wardrop_check
@@ -112,6 +113,23 @@ class TestRunScenario:
         sc = Scenario(demand_grid=(500.0,), solver=FAST_SOLVER)
         res = run_scenario(three_route_toy(demand=1000.0), sc)
         assert res.rows[0].flows.sum() == pytest.approx(500.0, rel=1e-3)
+
+    def test_antt_forms_agree(self):
+        # the route form from the link means, against the independent route
+        # moments at the row's flows
+        net = three_route_toy()
+        rs = build_route_set(net)
+        row = run_scenario(net, Scenario(solver=FAST_SOLVER)).rows[0]
+        point = net.with_uniform_theta(row.theta).with_scaled_demand(
+            row.demand / net.total_demand())
+        mom = route_moments(point, rs, link_flows(rs, row.flows), BprParams())
+        assert row.antt == pytest.approx(antt(row.flows, rs, mom, row.demand), rel=1e-12)
+
+    def test_antt_cross_check_catches_broken_flow_conservation(self, monkeypatch):
+        # link flows that do not belong to the route flows split the two forms
+        monkeypatch.setattr(cmte.scenario, "link_flows", lambda rs, f: 1.1 * (rs.delta @ f))
+        with pytest.raises(RuntimeError, match="ANTT cross-check"):
+            run_scenario(three_route_toy(), Scenario(solver=FAST_SOLVER))
 
 
 class TestContinuation:

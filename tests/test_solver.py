@@ -307,7 +307,7 @@ class TestExtragradient:
         assert len(res.residual_history) == res.iterations
 
     def test_max_iter_reports_nonconvergence(self):
-        net = standin_network()
+        net = grid_network(3, seed=1)  # converges in 165 iterations
         rs = build_route_set(net)
         res = extragradient_solve(net, rs, P, PROFILE, SolverConfig(max_iter=5))
         assert not res.converged and res.stop_reason == "max_iter"
@@ -315,9 +315,10 @@ class TestExtragradient:
         assert len(res.residual_history) == 5
 
     def test_nonconverged_histories_end_at_f_star(self):
-        net = standin_network()
+        net = grid_network(3, seed=1)
         rs, prob = compiled(net)
         res = extragradient_solve(net, rs, P, PROFILE, SolverConfig(max_iter=5))
+        assert not res.converged
         F, mu = assemble_F(res.f_star, prob)
         assert np.array_equal(res.cmtt_per_route, F)
         assert res.residual_history[-1] == natural_residual(res.f_star, F, prob)
@@ -385,6 +386,21 @@ class TestNewtonWarmStart:
         assert natural_residual(u_new, F_new, prob) < natural_residual(u, F, prob)
         assert np.array_equal((F_new, mu_new), assemble_F(u_new, prob))
         assert np.array_equal(w_new, u_new - project(u_new - F_new, prob))
+
+    def test_non_finite_system_is_not_solved(self):
+        # at capacities this small psi is finite at the equal split but its
+        # Jacobian overflows; LAPACK's least-squares solver raises or never
+        # returns on NaN or inf input, so that try is skipped and not counted
+        net = Network(tuple(Link(i, 1, 2, 10.0, 5.6e-39, 0.8) for i in (1, 2)),
+                      (ODPair(1, 2, 4.0),))
+        rs, prob = compiled(net)
+        u = np.array([2.0, 2.0])
+        with np.errstate(all="ignore"):
+            F, _ = assemble_F(u, prob)
+            assert np.all(np.isfinite(F)) and not np.all(np.isfinite(prob.jacobian(u)))
+            assert _face_newton(u, F, u - project(u - F, prob), prob) is None
+            res = extragradient_solve(net, rs, P, PROFILE, f0=u)
+        assert res.converged and res.newton_tried == 0
 
     def test_step_that_does_not_help_is_dropped(self):
         # at an exact solution the residual cannot fall: the start point stays
