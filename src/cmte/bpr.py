@@ -14,9 +14,13 @@ m_2n - m_n^2 is evaluated as a polynomial in x = (1 - theta) / theta
 whose exact rational coefficients are all >= 0, with zero constant and
 linear terms, so nothing cancels anywhere in theta in (0, 1]: theta = 1
 (x = 0) gives plain BPR and zero variance with no branch.
-``link_coefficients`` computes (t0, a_mean, a_var) for many links at
-once; every other function here, and the solver's compiled problem,
-reads its output.
+``link_coefficients`` computes (t0, a_mean, a_var) for a tuple of links
+at once; every other function here, and the solver's compiled problem,
+reads its output.  It is memoized on its hashable inputs (the tuple of
+frozen links and the frozen parameters), so the solves of a sweep cell,
+which differ only in the risk coefficient, and the cell's ANTT
+cross-check compute them once; the arrays it returns are shared and
+read-only.
 
 Route moments aggregate link moments under independence: means add,
 variances add, sigma = sqrt of the variance sum.
@@ -27,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -35,6 +39,8 @@ from .network import Link, Network, RouteSet
 
 __all__ = ["BprParams", "RouteMoments", "bpr_time", "link_coefficients", "link_mean",
            "link_var", "link_moments_vector", "route_moments"]
+
+COEFFICIENT_CACHE_SIZE = 32  # link tuples whose coefficients are kept
 
 @dataclass(frozen=True)
 class BprParams:
@@ -87,15 +93,24 @@ def _variance_polynomial(n: int) -> tuple[float, ...]:
     return tuple(float(c) for c in reversed(var))
 
 
+@lru_cache(maxsize=COEFFICIENT_CACHE_SIZE)
 def link_coefficients(links: tuple[Link, ...], p: BprParams):
-    """Per-link arrays (t0, a_mean, a_var) of the moment polynomials."""
+    """Per-link arrays (t0, a_mean, a_var) of the moment polynomials.
+
+    ``links`` must be a tuple (it is a cache key).  Equal inputs, such as
+    two copies of a network with the same theta, get the same arrays
+    back; they are read-only, since every caller shares them.
+    """
     t0, cap, theta = np.array([(l.t0, l.cap_design, l.theta) for l in links],
                               dtype=float).reshape(-1, 3).T
     with np.errstate(over="ignore"):  # an overflow reads inf, rejected by the solver
         scale = p.beta * t0 / cap ** p.n
         m_n = (theta[:, None] ** -np.arange(1, p.n)).sum(axis=1) / (p.n - 1)
         x = (1.0 - theta) / theta  # 1 - theta is exact for theta >= 1/2
-        return t0, scale * m_n, scale ** 2 * np.polyval(_variance_polynomial(p.n), x)
+        out = t0, scale * m_n, scale ** 2 * np.polyval(_variance_polynomial(p.n), x)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def link_mean(link: Link, v, p: BprParams):

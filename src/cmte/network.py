@@ -28,7 +28,8 @@ When a ``[routes]`` section is present it overrides enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -123,10 +124,14 @@ class Network:
         return len(self.links)
 
     def link_by_id(self, link_id: int) -> Link:
-        for l in self.links:
-            if l.id == link_id:
-                return l
-        raise KeyError(f"no link with id {link_id}")
+        try:
+            return self._links_by_id[link_id]
+        except KeyError:
+            raise KeyError(f"no link with id {link_id}") from None
+
+    @cached_property
+    def _links_by_id(self) -> dict[int, Link]:
+        return {l.id: l for l in self.links}
 
     def total_demand(self) -> float:
         return sum(od.demand for od in self.od_pairs)
@@ -171,6 +176,14 @@ class RouteSet:
     @property
     def n_routes(self) -> int:
         return len(self.routes)
+
+    @cached_property
+    def od_routes(self) -> tuple[np.ndarray, ...]:
+        """Route indices of each OD pair (rows of ``lambda_inc``), read-only."""
+        out = tuple(np.flatnonzero(row) for row in self.lambda_inc)
+        for ks in out:
+            ks.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,12 @@ travel time sum_k f_k * mu_k / sum_od q.  By flow conservation this
 equals the link-level form sum_a v_a * E[T_a] / sum_od q; both are
 computed from one evaluation of the link means E[T_a] (the route means
 are mu = delta^T E[T]) and cross-checked on every row.
+
+A cell's links depend on Theta alone, so its rows, and the cells of
+other demand levels at the same Theta, share their link moment
+coefficients: ``bpr.link_coefficients`` is memoized on the links, and
+every solve and cross-check reads the arrays the first one computed.
+The route set, with its per-OD route indices, is built once per sweep.
 """
 
 from __future__ import annotations

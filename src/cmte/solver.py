@@ -16,9 +16,12 @@ the multiplier of its demand constraint, is read off the final flows
 
 Each solve compiles its inputs once into a :class:`Problem` (link
 coefficients from ``bpr.link_coefficients``, delta, Lambda, Q, the risk
-coefficient c, each OD pair's routes) that every step reads.
-``compile_problem`` also rejects points where the index could fall as
-flow rises (:class:`DomainError`).
+coefficient c, each OD pair's routes) that every step reads.  The link
+coefficients are memoized and the route indices cached on the frozen
+``RouteSet`` (``RouteSet.od_routes``), so the solves of a sweep cell,
+which change only c, compute them once.  ``compile_problem`` also
+rejects points where the index could fall as flow rises
+(:class:`DomainError`).
 
 The solver is the classic two-projection extra-gradient iteration with
 backtracking on the step size, so no Lipschitz constant is needed up
@@ -175,10 +178,6 @@ class Problem:
         return j_mu + self.c * inv[:, None] * j_var
 
 
-def _od_routes(lambda_inc: np.ndarray) -> tuple[np.ndarray, ...]:
-    return tuple(np.flatnonzero(row) for row in lambda_inc)
-
-
 def _od_blocks(od_routes: tuple[np.ndarray, ...], q: np.ndarray) -> tuple:
     blocks = []
     for ks, demand in zip(od_routes, q):
@@ -217,10 +216,9 @@ def compile_problem(net: Network, rs: RouteSet, p: BprParams, profile: RiskProfi
             f"{a_mean[i]:.6g} < {-c:.6g} * std coefficient {np.sqrt(a_var[i]):.6g} "
             f"= {floor[i]:.6g}")
     q = np.array([od.demand for od in net.od_pairs], dtype=float)
-    od_routes = _od_routes(rs.lambda_inc)
     return Problem(t0=t0, a_mean=a_mean, a_var=a_var, n=p.n, delta=rs.delta,
-                   lambda_inc=rs.lambda_inc, q=q, c=c, od_routes=od_routes,
-                   od_blocks=_od_blocks(od_routes, q))
+                   lambda_inc=rs.lambda_inc, q=q, c=c, od_routes=rs.od_routes,
+                   od_blocks=_od_blocks(rs.od_routes, q))
 
 
 def route_costs(f: np.ndarray, net: Network, rs: RouteSet, p: BprParams,
@@ -297,7 +295,6 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
     Fu, mu = assemble_F(u, prob)
     f_evals, backtracks, tried, kept, gap = 1, 0, 0, 0, 1
     residuals, antts, steps = [], [], []
-    converged = False
 
     for it in range(cfg.max_iter):
         # every route has a link, so a non-finite u gives a non-finite F(u)
@@ -324,8 +321,9 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
         residuals.append(res)
         antts.append(float(u @ mu / total_q) if total_q > 0 else 0.0)
         steps.append(tau)
-        converged = (res <= cfg.tol and
-                     _od_gaps(u, Fu, prob.od_routes, prob.q)[0].max(initial=0.0) <= GAP_TOL)
+        # the result reuses the gaps when the solve stops at this point
+        od_gaps = _od_gaps(u, Fu, prob.od_routes, prob.q) if res <= cfg.tol else None
+        converged = od_gaps is not None and od_gaps[0].max(initial=0.0) <= GAP_TOL
         if converged or it == cfg.max_iter - 1:
             break  # the histories end at f_star, converged or not
         # backtracking: shrink tau until the Lipschitz-proxy inequality holds
@@ -348,7 +346,7 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
         f_evals += 1
         tau *= STEP_GROW
 
-    gaps, min_costs = _od_gaps(u, Fu, prob.od_routes, prob.q)
+    gaps, min_costs = od_gaps or _od_gaps(u, Fu, prob.od_routes, prob.q)
     return EquilibriumResult(
         f_star=u, pi_star=min_costs, iterations=len(residuals),
         residual_history=np.array(residuals), antt_history=np.array(antts),
@@ -419,6 +417,6 @@ def wardrop_check(result: EquilibriumResult, net: Network, rs: RouteSet,
     the minimum, which is taken over all of the OD's routes.
     """
     gaps, min_costs = _od_gaps(result.f_star, result.cmtt_per_route,
-                               _od_routes(rs.lambda_inc),
+                               rs.od_routes,
                                np.array([od.demand for od in net.od_pairs]))
     return WardropReport(bool(np.all(gaps <= rel_tol)), gaps, min_costs)

@@ -8,6 +8,7 @@ from cmte.bpr import (BprParams, bpr_time, link_coefficients, link_mean,
                       link_moments_vector, link_var, route_moments)
 from cmte.montecarlo import McConfig, mc_link_moments
 from cmte.network import Link, Network, ODPair, build_route_set
+from cmte.presets import standin_network
 
 P = BprParams()  # beta=0.15, n=4
 
@@ -145,6 +146,22 @@ class TestRouteMoments:
             mom = route_moments(net, rs, np.full(2, v_level), P)
             assert mom.mu[0] >= 20.0 - 1e-12
             assert np.all(mom.sigma >= 0.0)
+
+
+class TestLinkCoefficientsCache:
+    def test_arrays_are_read_only(self):
+        for a in link_coefficients((make_link(), make_link(theta=1.0)), P):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+    def test_equal_link_tuples_share_arrays(self):
+        base = standin_network()
+        one, two = base.with_uniform_theta(0.8), base.with_uniform_theta(0.8)
+        assert one.links is not two.links
+        a, b = link_coefficients(one.links, P), link_coefficients(two.links, P)
+        assert all(x is y for x, y in zip(a, b))
+        c = link_coefficients(base.with_uniform_theta(0.7).links, P)
+        assert not np.array_equal(a[1], c[1])
 
 
 # theta exactly 1 mixed with theta < 1 in one network: the vectorised

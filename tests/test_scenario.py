@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cmte.bpr import BprParams, route_moments
+from cmte.bpr import BprParams, link_coefficients, route_moments
 from cmte.indices import RiskProfile
 from cmte.network import build_route_set, link_flows
 from cmte.presets import standin_network, three_route_toy
@@ -171,6 +171,14 @@ class TestContinuation:
             assert row.antt == pytest.approx(antt(cold.f_star, rs, mom, self.DEMAND),
                                              rel=1e-3)
         assert sum(r.iterations for r in warm) < cold_iterations
+
+    def test_cell_computes_link_coefficients_once(self):
+        # every solve of the cell and every ANTT cross-check reads them
+        link_coefficients.cache_clear()
+        assert len(self.cell((self.THETA,))) == len(self.LAMBDAS)
+        info = link_coefficients.cache_info()
+        assert info.misses == 1
+        assert info.hits == 2 * len(self.LAMBDAS) - 1
 
     def test_warm_rows_converge_after_the_newton_step(self):
         rows = self.cell((self.THETA,))
