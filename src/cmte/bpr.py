@@ -60,15 +60,19 @@ class RouteMoments:
     sigma: np.ndarray  # per-route standard deviation, minutes
 
 
-def bpr_time(link: Link, v, capacity, p: BprParams):
+def bpr_time(link: Link, v, capacity, p: BprParams, out=None):
     """Deterministic BPR travel time t0 * [1 + beta * (v/capacity)^n].
 
     Array input gets one new array back, computed in place; scalar input
-    gets a numpy scalar.
+    gets a numpy scalar.  Given ``out``, a float array of the broadcast
+    shape, the times are written into it and it is returned; ``out`` may
+    be ``capacity`` itself, which then allocates nothing.
     """
-    if np.any(np.asarray(capacity) <= 0):
+    cap = np.asarray(capacity)
+    # fmin skips NaN, as any(cap <= 0) would, with no array of N flags
+    if cap.size and np.fmin.reduce(cap, axis=None) <= 0:
         raise ValueError("capacity must be > 0")
-    t = np.asarray(np.divide(np.asarray(v, dtype=float), capacity))
+    t = np.asarray(np.divide(np.asarray(v, dtype=float), cap, out=out))
     np.power(t, p.n, out=t)
     t *= p.beta
     t += 1.0

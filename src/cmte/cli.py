@@ -98,7 +98,12 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     net, sc = _load_inputs(args)
     cfg = McConfig(samples=args.samples, seed=args.seed)
-    rows, ok = oracle_report(net, sc.bpr, cfg)
+    try:
+        rows, ok = oracle_report(net, sc.bpr, cfg)
+    except MemoryError:
+        print(f"config error: not enough memory for {args.samples} samples per estimate",
+              file=sys.stderr)
+        return EXIT_CONFIG
     lines = [f"# rng={RNG_ALGORITHM} seed={args.seed} samples={args.samples}",
              "claim\tclosed_form\testimate\tstandard_error\tstatus"]
     lines += [f"{claim}\t{fmt_float(cf)}\t{fmt_float(est)}\t{fmt_float(se)}\t{status}"

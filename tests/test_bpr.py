@@ -59,6 +59,14 @@ class TestBprTime:
         assert t is not caps and not np.shares_memory(t, caps)
         assert np.array_equal(t, 10.0 * (1.0 + 0.15 * (1000.0 / kept) ** 4))
 
+    @pytest.mark.parametrize("into_capacity", [False, True])
+    def test_writes_into_out(self, into_capacity):
+        caps = np.array([800.0, 1000.0, 1200.0])
+        expected = bpr_time(make_link(), 1000.0, caps, P)
+        buf = caps if into_capacity else np.empty(3)
+        assert bpr_time(make_link(), 1000.0, caps, P, out=buf) is buf
+        assert np.array_equal(buf, expected)
+
 
 class TestLinkMean:
     def test_free_flow(self):

@@ -1,5 +1,7 @@
 import json
+import threading
 
+import numpy as np
 import pytest
 
 from cmte.cli import main
@@ -93,6 +95,33 @@ def test_verify(toy_net, tmp_path, capsys):
     assert code == 0
     report = (out / "oracle_report.tsv").read_text()
     assert "pass" in report and "fail" not in report.replace("pass/fail", "")
+
+
+def test_verify_rejects_a_negative_seed(toy_net, capsys):
+    assert main(["verify", "--network", str(toy_net), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: seed")
+
+
+def test_verify_out_of_memory_is_a_config_error(toy_net, capsys, monkeypatch):
+    # the report allocates its sample buffers before any thread starts; a
+    # sample count that does not fit fails there with one line, no traceback
+    real_empty = np.empty
+
+    def empty(shape, *args, **kwargs):
+        if np.prod(shape) > 10 ** 9:
+            raise MemoryError("no room")
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", empty)
+    threads = threading.active_count()
+    assert main(["verify", "--network", str(toy_net), "--samples", "1000000000000"]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert "1000000000000" in err[0] and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert threading.active_count() == threads
 
 
 def test_routes(standin_net, capsys):

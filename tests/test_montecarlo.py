@@ -1,11 +1,17 @@
 import inspect
 import math
+import re
+import sys
+import threading
+import time
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmte import indices, montecarlo
+from cmte import bpr, indices, montecarlo
 from cmte.bpr import BprParams, bpr_time
 from cmte.montecarlo import McConfig, mc_link_moments, mc_tail_means, oracle_report
 from cmte.network import Link
@@ -63,6 +69,14 @@ class TestConfig:
 
     def test_numpy_integer_samples(self):
         assert McConfig(samples=np.int64(10 ** 4)).samples == 10 ** 4
+
+    @pytest.mark.parametrize("seed", [1.0, 0.5, "0", -1, np.int64(-3), True, None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match=f"seed .*{re.escape(repr(seed))}"):
+            McConfig(seed=seed)
+
+    def test_numpy_integer_seed(self):
+        assert McConfig(seed=np.uint32(7)).seed == 7
 
 
 class TestLinkMoments:
@@ -178,6 +192,34 @@ class TestTailMeans:
         assert a == b
 
 
+def one_by_one_report(net, p, cfg, thetas=(0.6, 0.8), flow_fracs=(0.5, 1.0, 1.5),
+                      tail_cases=TAIL_CASES):
+    """The report's rows from each estimator called in turn in this thread."""
+    rows, seed = [], cfg.seed
+
+    def add(claim, closed, estimate, se):
+        ok = abs(closed - estimate) <= montecarlo.CI_MULTIPLIER * se
+        rows.append((claim, closed, estimate, se, "pass" if ok else "fail"))
+
+    for link in net.links:
+        for theta in thetas:
+            lk = replace(link, theta=theta)
+            for frac in flow_fracs:
+                v = frac * link.cap_design
+                est = mc_link_moments(lk, v, p, McConfig(cfg.samples, seed))
+                seed += 1
+                tag = f"link{link.id}_theta{theta:g}_v{frac:g}C"
+                add(f"mean_{tag}", float(bpr.link_mean(lk, v, p)), est.mean, est.mean_se)
+                add(f"var_{tag}", float(bpr.link_var(lk, v, p)), est.var, est.var_se)
+    for mu, sigma, a in tail_cases:
+        est = mc_tail_means(mu, sigma, a, McConfig(cfg.samples, seed))
+        seed += 1
+        tag = f"mu{mu:g}_sigma{sigma:g}_alpha{a:g}"
+        add(f"mbtt_{tag}", float(indices.mbtt(mu, sigma, a)), est.below_mean, est.below_se)
+        add(f"mett_{tag}", float(indices.mett(mu, sigma, a)), est.excess_mean, est.excess_se)
+    return rows, all(r[4] == "pass" for r in rows)
+
+
 class TestOracleReport:
     def test_small_run_passes(self):
         net = three_route_toy()
@@ -217,3 +259,113 @@ class TestOracleReport:
         for a, kw in calls["mc_link_moments"] + calls["mc_tail_means"]:
             assert len(a) == 4 and not kw
             assert isinstance(a[3], McConfig) and a[3].samples == cfg.samples
+
+    @pytest.mark.parametrize("samples", [10 ** 4, 10 ** 5])
+    @pytest.mark.parametrize("make_net", [standin_network, three_route_toy])
+    def test_rows_equal_a_one_by_one_run(self, make_net, samples):
+        net, cfg = make_net(), McConfig(samples=samples, seed=7)
+        assert oracle_report(net, P, cfg) == one_by_one_report(net, P, cfg)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("low, high", [(0.0, 1.0), (600.0, 1000.0), (1e-3, 2.5e4)])
+    def test_buffer_fills_match_numpy_draws(self, seed, low, high):
+        # the estimators scale standard draws in their buffer; on a numpy
+        # build without fused multiply-add that is rng.uniform / rng.normal
+        n = 10 ** 4
+        buf = np.empty(n)
+        np.random.default_rng(seed).random(out=buf)
+        buf *= high - low
+        buf += low
+        assert np.array_equal(buf, np.random.default_rng(seed).uniform(low, high, n))
+        mu, sigma = low, high / 7.0
+        np.random.default_rng(seed).standard_normal(out=buf)
+        buf *= sigma
+        buf += mu
+        assert np.array_equal(buf, np.random.default_rng(seed).normal(mu, sigma, n))
+
+    def test_rows_hold_with_more_threads_than_cores(self, monkeypatch):
+        # a buffer shared by two threads, or a result put in the wrong
+        # place, would change rows; frequent switches make that likely
+        monkeypatch.setattr(montecarlo, "MC_THREADS", 4)
+        net, cfg = three_route_toy(), McConfig(samples=10 ** 4, seed=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows = [oracle_report(net, P, cfg) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert rows == [one_by_one_report(net, P, cfg)] * 5
+
+    def test_failing_estimate_raises_as_one_by_one(self):
+        net, cfg = three_route_toy(), McConfig(samples=10 ** 4, seed=0)
+        cases = ((20.0, 3.0, 0.9), (20.0, 3.0, 1.5), (15.0, 5.0, 2.0))
+        with pytest.raises(ValueError) as expected:
+            one_by_one_report(net, P, cfg, tail_cases=cases)
+        threads, raised = threading.active_count(), []
+
+        def report():
+            try:
+                oracle_report(net, P, cfg, tail_cases=cases)
+            except ValueError as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=report)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert [str(e) for e in raised] == [str(expected.value)]
+        assert "alpha=1.5" in str(raised[0])
+        assert threading.active_count() == threads
+
+    def test_failure_cancels_estimates_not_started(self, monkeypatch):
+        real, calls = montecarlo.mc_link_moments, []
+
+        def failing(link, v, p, cfg):
+            calls.append(cfg.seed)
+            if cfg.seed == 4:
+                raise RuntimeError("estimate 4 failed")
+            return real(link, v, p, cfg)
+
+        monkeypatch.setattr(montecarlo, "mc_link_moments", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="estimate 4 failed"):
+            oracle_report(standin_network(), P, McConfig(samples=10 ** 6, seed=0))
+        assert len(calls) < 78
+        assert threading.active_count() == threads
+
+    def test_at_most_mc_threads_in_flight(self, monkeypatch):
+        lock, now, peak = threading.Lock(), [0], [0]
+
+        def counting(real):
+            def wrapper(*args):
+                with lock:
+                    now[0] += 1
+                    peak[0] = max(peak[0], now[0])
+                try:
+                    time.sleep(0.002)  # keep each estimate in flight a while
+                    return real(*args)
+                finally:
+                    with lock:
+                        now[0] -= 1
+            return wrapper
+
+        for name in ("mc_link_moments", "mc_tail_means"):
+            monkeypatch.setattr(montecarlo, name, counting(getattr(montecarlo, name)))
+        threads = threading.active_count()
+        oracle_report(standin_network(), P, McConfig(samples=10 ** 4, seed=0))
+        assert peak[0] == montecarlo.MC_THREADS
+        assert threading.active_count() == threads
+
+    def test_memory_holds_one_buffer_per_thread(self):
+        # each pool thread reuses the buffer the report allocated for it; an
+        # estimate that allocated its own samples would add 8 N bytes a thread
+        # (read 2.2 x 8 N bytes against 4.2 with per-call buffers)
+        n = 10 ** 5
+        oracle_report(three_route_toy(), P, McConfig(samples=10 ** 4, seed=0))  # imports
+        tracemalloc.start()
+        try:
+            oracle_report(three_route_toy(), P, McConfig(samples=n, seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (montecarlo.MC_THREADS + 1) * 8 * n
