@@ -17,10 +17,9 @@ linear terms, so nothing cancels anywhere in theta in (0, 1]: theta = 1
 ``link_coefficients`` computes (t0, a_mean, a_var) for a tuple of links
 at once; every other function here, and the solver's compiled problem,
 reads its output.  It is memoized on its hashable inputs (the tuple of
-frozen links and the frozen parameters), so the solves of a sweep cell,
-which differ only in the risk coefficient, and the cell's ANTT
-cross-check compute them once; the arrays it returns are shared and
-read-only.
+frozen links and the frozen parameters; a network's link tuple computes
+its hash once), so a sweep cell's compile and its ANTT cross-checks
+compute them once; the arrays it returns are shared and read-only.
 
 Route moments aggregate link moments under independence: means add,
 variances add, sigma = sqrt of the variance sum.

@@ -96,13 +96,27 @@ class ODPair:
                 f"got {self.demand}")
 
 
+class _LinkTuple(tuple):
+    """A tuple of links that hashes, like the plain tuple, once: it keys
+    ``bpr.link_coefficients``, and each ``Link`` hash builds a tuple."""
+
+    @cached_property
+    def _hash(self) -> int:
+        return tuple.__hash__(self)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 @dataclass(frozen=True)
 class Network:
-    links: tuple[Link, ...]
+    links: tuple[Link, ...]  # stored as a _LinkTuple
     od_pairs: tuple[ODPair, ...]
     preset_routes: tuple[tuple[int, ...], ...] = ()  # explicit link-id sequences
 
     def __post_init__(self):
+        if type(self.links) is not _LinkTuple:  # a copy keeps its links' hash
+            object.__setattr__(self, "links", _LinkTuple(self.links))
         ids = [l.id for l in self.links]
         if len(set(ids)) != len(ids):
             raise NetworkValidationError("duplicate link ids")

@@ -21,11 +21,14 @@ equals the link-level form sum_a v_a * E[T_a] / sum_od q; both are
 computed from one evaluation of the link means E[T_a] (the route means
 are mu = delta^T E[T]) and cross-checked on every row.
 
-A cell's links depend on Theta alone, so its rows, and the cells of
-other demand levels at the same Theta, share their link moment
-coefficients: ``bpr.link_coefficients`` is memoized on the links, and
-every solve and cross-check reads the arrays the first one computed.
-The route set, with its per-OD route indices, is built once per sweep.
+Within a cell only the risk coefficient changes with lambda, so the
+cell's problem is compiled once (``solver.compile_problem``) and each
+solve sets its own coefficient on it.  A cell's links depend on Theta
+alone, so the cells of other demand levels at the same Theta share their
+link moment coefficients: ``bpr.link_coefficients`` is memoized on the
+links, and every compile and cross-check reads the arrays the first one
+computed.  The route set, with its per-OD route indices, is built once
+per sweep.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 from .bpr import BprParams, RouteMoments, link_moments_vector, route_moments  # noqa: F401
 from .indices import IndexKind, RiskProfile
 from .network import Network, RouteSet, build_route_set, link_flows
-from .solver import SolverConfig, extragradient_solve, wardrop_check
+from .solver import SolverConfig, compile_problem, extragradient_solve, wardrop_check
 
 __all__ = ["Scenario", "SweepRow", "SweepResult", "ScenarioError",
            "antt", "run_scenario", "emit_results", "fmt_float"]
@@ -165,11 +168,12 @@ def run_scenario(net: Network, sc: Scenario) -> SweepResult:
     for theta in sc.theta_grid:
         for q in sc.demand_grid:
             point_net = net.with_uniform_theta(theta).with_scaled_demand(q / base_q)
+            prob = compile_problem(point_net, rs, sc.bpr)
             f0 = None
             for lam in sc.lambda_grid:
                 profile = RiskProfile(sc.alpha, lam)
-                res = extragradient_solve(point_net, rs, sc.bpr, profile,
-                                          sc.solver, f0=f0, kind=IndexKind.CMTT)
+                res = extragradient_solve(point_net, rs, sc.bpr, profile, sc.solver,
+                                          f0=f0, kind=IndexKind.CMTT, problem=prob)
                 if res.converged:
                     f0 = res.f_star
                 v = link_flows(rs, res.f_star)

@@ -14,14 +14,16 @@ restore it after the solve.  The realized minimum index of each OD pair,
 the multiplier of its demand constraint, is read off the final flows
 (``EquilibriumResult.pi_star``).
 
-Each solve compiles its inputs once into a :class:`Problem` (link
-coefficients from ``bpr.link_coefficients``, delta, Lambda, Q, the risk
-coefficient c, each OD pair's routes) that every step reads.  The link
-coefficients are memoized and the route indices cached on the frozen
-``RouteSet`` (``RouteSet.od_routes``), so the solves of a sweep cell,
-which change only c, compute them once.  ``compile_problem`` also
-rejects points where the index could fall as flow rises
-(:class:`DomainError`).
+A solve reads its inputs as one :class:`Problem` (link coefficients
+from ``bpr.link_coefficients``, delta, Lambda, Q, the risk coefficient
+c, each OD pair's routes), which ``compile_problem`` builds.  Only c
+depends on the risk profile: ``Problem.with_risk`` sets it, so a caller
+that solves one network under many profiles, such as a sweep cell's
+lambda series, compiles once and hands the problem to each solve
+(``extragradient_solve(..., problem=)``); without one, a solve compiles
+its own.  Setting c rejects points where the index could fall as flow
+rises (:class:`DomainError`), and compiling rejects link coefficients
+that are not finite.
 
 The solver is the classic two-projection extra-gradient iteration with
 backtracking on the step size, so no Lipschitz constant is needed up
@@ -37,14 +39,15 @@ Some iterations first try a Newton step on the used-route face
 eps = min(1e-3 q, ||u - P(u - psi)||_inf over the OD) of zero whose
 index lies above the OD minimum are held at zero, and on the others the
 KKT system [J, -L^T; L, 0][d; pi] = [-psi; 0] is solved with the
-analytic Jacobian ``Problem.jacobian``.  Route costs are not additive
-(sigma is not), and where routes share links route flows are not unique
-(Gabriel & Bernstein, Transp. Sci. 1997): psi depends on f only through
-the link flows, so J is singular along the null space of delta.  The
-system is therefore solved at minimum norm by least squares, with
-singular values below NEWTON_RCOND = 1e-12 of the largest taken as
-zero, so the step moves nothing along directions that leave psi
-unchanged.  The step P(u + d) replaces the iterate only if it lowers the
+analytic Jacobian ``Problem.jacobian``, built from the link flows and
+route deviations that F's evaluation at u (``assemble_F``) computed.
+Route costs are not additive (sigma is not), and where routes share
+links route flows are not unique (Gabriel & Bernstein, Transp. Sci.
+1997): psi depends on f only through the link flows, so J is singular
+along the null space of delta.  The system is therefore solved at
+minimum norm by least squares, with singular values below
+NEWTON_RCOND = 1e-12 of the largest taken as zero, so the step moves
+nothing along directions that leave psi unchanged.  The step P(u + d) replaces the iterate only if it lowers the
 natural residual.  A try takes u - P(u - psi) from its iteration, and a
 kept step's own residual vector serves the rest of the iteration, so a
 try costs the Jacobian, one KKT solve, one F evaluation and two
@@ -65,13 +68,13 @@ why it broke down and carries the residuals recorded until then.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bpr import BprParams, link_coefficients, route_moments
 from .indices import IndexKind, RiskProfile, risk_coefficient
-from .network import Network, RouteSet, link_flows
+from .network import Link, Network, RouteSet, link_flows
 
 __all__ = ["SolverConfig", "EquilibriumResult", "WardropReport", "SolverError",
            "DomainError", "Problem", "compile_problem", "assemble_F", "project",
@@ -156,24 +159,48 @@ class Problem:
     # per OD pair with positive demand: its routes (a slice when they are
     # contiguous), its demand and the ranks 1..size, for ``project``
     od_blocks: tuple[tuple[slice | np.ndarray, float, np.ndarray], ...]
+    links: tuple[Link, ...]  # the network's links, named in DomainError
 
-    def moments(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Route (mu, sigma) at route flows f (negative flows count as 0)."""
-        v = self.delta @ np.maximum(f, 0.0)
+    def with_risk(self, profile: RiskProfile, kind: IndexKind = IndexKind.CMTT
+                  ) -> "Problem":
+        """This problem with the risk coefficient c of profile and kind.
+
+        Raises DomainError unless a_mean >= max(-c, 0) * sqrt(a_var) on
+        every link.  Since a route's sigma is at most the sum of its links'
+        sqrt(a_var) * v^n, this keeps every route index positive and
+        nondecreasing in each link flow, so the mapping is monotone.
+        """
+        c = risk_coefficient(kind, profile)
+        if c < 0.0:  # with c >= 0 the bound is 0, and a_mean >= 0 always
+            floor = -c * np.sqrt(self.a_var)
+            bad = np.flatnonzero(self.a_mean < floor)
+            if bad.size:
+                i = bad[0]
+                raise DomainError(
+                    f"index not monotone on link {self.links[i].id}: mean coefficient "
+                    f"{self.a_mean[i]:.6g} < {-c:.6g} * std coefficient "
+                    f"{np.sqrt(self.a_var[i]):.6g} = {floor[i]:.6g}")
+        return replace(self, c=c)
+
+    def link_flows(self, f: np.ndarray) -> np.ndarray:
+        """Link flows delta f at route flows f (negative flows count as 0)."""
+        return self.delta @ np.maximum(f, 0.0)
+
+    def moments(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Route (mu, sigma) at link flows v."""
         mu = self.delta.T @ (self.t0 + self.a_mean * v ** self.n)
         sigma = np.sqrt(self.delta.T @ (self.a_var * v ** (2 * self.n)))
         return mu, sigma
 
-    def jacobian(self, f: np.ndarray) -> np.ndarray:
-        """d psi / d f at route flows f (negative flows count as 0): the
-        mean part delta^T diag(n a_mean v^(n-1)) delta plus c times the
-        deviation part delta^T diag(n a_var v^(2n-1)) delta, whose row k is
-        divided by sigma_k (rows with sigma_k = 0 read 0)."""
+    def jacobian(self, v: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        """d psi / d f at link flows v, where the route deviations are sigma
+        (both as ``assemble_F`` returns them): the mean part
+        delta^T diag(n a_mean v^(n-1)) delta plus c times the deviation part
+        delta^T diag(n a_var v^(2n-1)) delta, whose row k is divided by
+        sigma_k (rows with sigma_k = 0 read 0)."""
         n, delta = self.n, self.delta
-        v = delta @ np.maximum(f, 0.0)
         j_mu = delta.T @ ((n * self.a_mean * v ** (n - 1))[:, None] * delta)
         j_var = delta.T @ ((n * self.a_var * v ** (2 * n - 1))[:, None] * delta)
-        sigma = np.sqrt(delta.T @ (self.a_var * v ** (2 * n)))
         inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0.0)
         return j_mu + self.c * inv[:, None] * j_var
 
@@ -188,16 +215,15 @@ def _od_blocks(od_routes: tuple[np.ndarray, ...], q: np.ndarray) -> tuple:
     return tuple(blocks)
 
 
-def compile_problem(net: Network, rs: RouteSet, p: BprParams, profile: RiskProfile,
+def compile_problem(net: Network, rs: RouteSet, p: BprParams,
+                    profile: RiskProfile | None = None,
                     kind: IndexKind = IndexKind.CMTT) -> Problem:
-    """Compile a solve's network, route set, BPR form and index into arrays.
+    """Compile a solve's network, route set, BPR form and index into arrays,
+    with c from ``Problem.with_risk`` (0, the mean index, without profile).
 
     Raises DomainError unless every link's coefficients are finite (a
     degradation degree or capacity so small that they overflow is outside
-    the model's domain) and a_mean >= max(-c, 0) * sqrt(a_var) on every
-    link.  Since a route's sigma is at most the sum of its links'
-    sqrt(a_var) * v^n, this keeps every route index positive and
-    nondecreasing in each link flow, so the mapping is monotone.
+    the model's domain), and as ``Problem.with_risk`` does.
     """
     t0, a_mean, a_var = link_coefficients(net.links, p)
     bad = np.flatnonzero(~(np.isfinite(t0) & np.isfinite(a_mean) & np.isfinite(a_var)))
@@ -206,19 +232,11 @@ def compile_problem(net: Network, rs: RouteSet, p: BprParams, profile: RiskProfi
         raise DomainError(
             f"moment coefficients of link {net.links[i].id} are not finite: t0 "
             f"{t0[i]:.6g}, mean {a_mean[i]:.6g}, variance {a_var[i]:.6g}")
-    c = risk_coefficient(kind, profile)
-    floor = max(-c, 0.0) * np.sqrt(a_var)
-    bad = np.flatnonzero(a_mean < floor)
-    if bad.size:
-        i = bad[0]
-        raise DomainError(
-            f"index not monotone on link {net.links[i].id}: mean coefficient "
-            f"{a_mean[i]:.6g} < {-c:.6g} * std coefficient {np.sqrt(a_var[i]):.6g} "
-            f"= {floor[i]:.6g}")
     q = np.array([od.demand for od in net.od_pairs], dtype=float)
-    return Problem(t0=t0, a_mean=a_mean, a_var=a_var, n=p.n, delta=rs.delta,
-                   lambda_inc=rs.lambda_inc, q=q, c=c, od_routes=rs.od_routes,
-                   od_blocks=_od_blocks(rs.od_routes, q))
+    prob = Problem(t0=t0, a_mean=a_mean, a_var=a_var, n=p.n, delta=rs.delta,
+                   lambda_inc=rs.lambda_inc, q=q, c=0.0, od_routes=rs.od_routes,
+                   od_blocks=_od_blocks(rs.od_routes, q), links=net.links)
+    return prob if profile is None else prob.with_risk(profile, kind)
 
 
 def route_costs(f: np.ndarray, net: Network, rs: RouteSet, p: BprParams,
@@ -229,13 +247,16 @@ def route_costs(f: np.ndarray, net: Network, rs: RouteSet, p: BprParams,
     return mom.mu + risk_coefficient(kind, profile) * mom.sigma
 
 
-def assemble_F(u: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
-    """The mapping psi(f) at route flows u, returned with the route means
-    mu(f) it was built from."""
+def assemble_F(u: np.ndarray, prob: Problem
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The mapping psi(f) at route flows u, returned with what it was built
+    from: the route means mu, the link flows v and the route deviations
+    sigma (``Problem.jacobian`` at u reads the last two)."""
     if u.shape != (prob.delta.shape[1],):
         raise ValueError("dimension mismatch between flows and routes")
-    mu, sigma = prob.moments(u)
-    return mu + prob.c * sigma, mu
+    v = prob.link_flows(u)
+    mu, sigma = prob.moments(v)
+    return mu + prob.c * sigma, mu, v, sigma
 
 
 def project(u: np.ndarray, prob: Problem) -> np.ndarray:
@@ -267,7 +288,8 @@ def natural_residual(u: np.ndarray, F_u: np.ndarray, prob: Problem) -> float:
 def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
                         profile: RiskProfile, cfg: SolverConfig = SolverConfig(),
                         f0: np.ndarray | None = None,
-                        kind: IndexKind = IndexKind.CMTT) -> EquilibriumResult:
+                        kind: IndexKind = IndexKind.CMTT,
+                        problem: Problem | None = None) -> EquilibriumResult:
     """Run the extra-gradient iteration until the natural residual meets tol
     and every OD's Wardrop gap is at most GAP_TOL.
 
@@ -281,10 +303,16 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
     rejected one.  Returns a result flagged ``converged=False`` (stop
     reason "max_iter") if max_iter is exhausted; either way the last
     entries of its histories belong to f_star.  Raises SolverError on NaN
-    or overflow and on step-size underflow, and DomainError (from
-    ``compile_problem``) outside the model's domain.
+    or overflow and on step-size underflow, and DomainError outside the
+    model's domain.
+
+    ``problem``, if given, is ``compile_problem(net, rs, p)`` under any
+    risk profile; the solve sets its risk coefficient from profile and
+    kind (``Problem.with_risk``) instead of compiling again, so the
+    solves of a lambda series compile once.
     """
-    prob = compile_problem(net, rs, p, profile, kind)
+    prob = (compile_problem(net, rs, p, profile, kind) if problem is None
+            else problem.with_risk(profile, kind))
     total_q = prob.q.sum()
     if f0 is None:
         f0 = prob.lambda_inc.T @ (prob.q / np.maximum(prob.lambda_inc.sum(axis=1), 1.0))
@@ -292,7 +320,7 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
     else:
         next_try = 0
     u = project(np.asarray(f0, dtype=float), prob)
-    Fu, mu = assemble_F(u, prob)
+    Fu, mu, v, sigma = assemble_F(u, prob)
     f_evals, backtracks, tried, kept, gap = 1, 0, 0, 0, 1
     residuals, antts, steps = [], [], []
 
@@ -304,14 +332,14 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
         w = u - project(u - Fu, prob)
         res = _scaled_max(w, u)
         if it == next_try:
-            step = _face_newton(u, Fu, w, prob)
+            step = _face_newton(u, Fu, w, prob.jacobian(v, sigma), prob)
             res_step = math.inf
             if step is not None:  # None: the face's KKT system was not finite
                 tried += 1
                 f_evals += 1
-                res_step = _scaled_max(step[3], step[0])
+                res_step = _scaled_max(step[2], step[0])
             if res_step < res:  # a NaN residual fails this too
-                u, Fu, mu, w = step
+                u, (Fu, mu, v, sigma), w = step
                 res, kept, gap = res_step, kept + 1, 1
             else:
                 gap *= NEWTON_BACKOFF
@@ -329,7 +357,7 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
         # backtracking: shrink tau until the Lipschitz-proxy inequality holds
         while True:
             u_bar = project(u - tau * Fu, prob)
-            F_bar, _ = assemble_F(u_bar, prob)
+            F_bar = assemble_F(u_bar, prob)[0]
             f_evals += 1
             d_F, d_u = Fu - F_bar, u - u_bar
             lhs = tau * math.sqrt(d_F @ d_F)  # the 2-norm, as np.linalg.norm takes it
@@ -342,7 +370,7 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
                 raise SolverError(f"step size underflow at iteration {it}",
                                   "step_underflow", np.array(residuals))
         u = project(u - tau * F_bar, prob)
-        Fu, mu = assemble_F(u, prob)
+        Fu, mu, v, sigma = assemble_F(u, prob)
         f_evals += 1
         tau *= STEP_GROW
 
@@ -361,35 +389,38 @@ def _scaled_max(w: np.ndarray, u: np.ndarray) -> float:
     return float(np.abs(w).max() / (1.0 + np.abs(u).max()))
 
 
-def _face_newton(u: np.ndarray, Fu: np.ndarray, w: np.ndarray, prob: Problem
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+def _face_newton(u: np.ndarray, Fu: np.ndarray, w: np.ndarray, J: np.ndarray,
+                 prob: Problem) -> tuple[np.ndarray, tuple, np.ndarray] | None:
     """The minimum-norm Newton step on the used-route face from u, given
-    F(u) and w = u - P(u - F(u)) (see the module docstring), as the new
-    point u', F(u'), mu(u') and u' - P(u' - F(u')); None when its KKT
-    system is not finite, on which LAPACK's least-squares solver raises or
-    never returns."""
+    F(u), w = u - P(u - F(u)) and the Jacobian J at u (see the module
+    docstring), as the new point u', ``assemble_F(u')`` and
+    u' - P(u' - F(u')); None when its KKT system is not finite, on which
+    LAPACK's least-squares solver raises or never returns."""
     free = np.ones(u.size, dtype=bool)
     for ks, q in zip(prob.od_routes, prob.q):
         if ks.size:
             eps = min(1e-3 * q, np.abs(w[ks]).max())
             free[ks] = (u[ks] > eps) | (Fu[ks] <= Fu[ks].min())
-    U = np.flatnonzero(free)
-    L = prob.lambda_inc[:, U]
+    if free.all():  # the whole face: no gather copies
+        U, F_U, L = slice(None), Fu, prob.lambda_inc
+    else:
+        U = np.flatnonzero(free)
+        J, F_U, L = J[np.ix_(U, U)], Fu[U], prob.lambda_inc[:, U]
     L = L[L.any(axis=1)]
-    m = U.size
+    m = F_U.size
     K = np.zeros((m + len(L), m + len(L)))
-    K[:m, :m] = prob.jacobian(u)[np.ix_(U, U)]
+    K[:m, :m] = J
     K[:m, m:] = -L.T
     K[m:, :m] = L
     if not np.isfinite(K).all():
         return None
     rhs = np.zeros(len(K))
-    rhs[:m] = -Fu[U]
+    rhs[:m] = -F_U
     d = -u
     d[U] = np.linalg.lstsq(K, rhs, rcond=NEWTON_RCOND)[0][:m]
     u_new = project(u + d, prob)
-    F_new, mu_new = assemble_F(u_new, prob)
-    return u_new, F_new, mu_new, u_new - project(u_new - F_new, prob)
+    at_new = assemble_F(u_new, prob)
+    return u_new, at_new, u_new - project(u_new - at_new[0], prob)
 
 
 def _od_gaps(f: np.ndarray, psi: np.ndarray, od_routes: tuple[np.ndarray, ...],

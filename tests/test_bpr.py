@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -170,6 +171,20 @@ class TestLinkCoefficientsCache:
         assert all(x is y for x, y in zip(a, b))
         c = link_coefficients(base.with_uniform_theta(0.7).links, P)
         assert not np.array_equal(a[1], c[1])
+
+    def test_network_links_key_like_the_plain_tuple(self):
+        # a network hashes its links once, as the plain tuple hashes them
+        net = standin_network()
+        plain = tuple(net.links)
+        assert hash(net.links) == hash(plain) and net.links == plain
+        assert net.with_scaled_demand(2.0).links is net.links
+        link_coefficients.cache_clear()
+        a = link_coefficients(net.links, P)
+        assert all(x is y for x, y in zip(a, link_coefficients(plain, P)))
+        changed = Network((replace(net.links[0], cap_design=900.0),) + plain[1:],
+                          net.od_pairs)
+        assert not np.array_equal(link_coefficients(changed.links, P)[1], a[1])
+        assert link_coefficients.cache_info().misses == 2
 
 
 # theta exactly 1 mixed with theta < 1 in one network: the vectorised

@@ -1,17 +1,20 @@
+import dataclasses
 import filecmp
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmte.bpr import BprParams, link_coefficients, route_moments
 from cmte.indices import RiskProfile
-from cmte.network import build_route_set, link_flows
+from cmte.network import Link, Network, ODPair, build_route_set, link_flows
 from cmte.presets import standin_network, three_route_toy
 import cmte.scenario
 from cmte.scenario import (Scenario, ScenarioError, SweepResult, antt,
                            emit_results, run_scenario)
-from cmte.solver import SolverConfig, extragradient_solve, route_costs, wardrop_check
+from cmte.solver import (DomainError, SolverConfig, SolverError, extragradient_solve,
+                         route_costs, wardrop_check)
 
 FAST_SOLVER = SolverConfig(tol=1e-4, max_iter=10_000)
 
@@ -173,18 +176,122 @@ class TestContinuation:
         assert sum(r.iterations for r in warm) < cold_iterations
 
     def test_cell_computes_link_coefficients_once(self):
-        # every solve of the cell and every ANTT cross-check reads them
+        # the cell compiles its problem once, and every ANTT cross-check
+        # reads the arrays that compile computed
         link_coefficients.cache_clear()
         assert len(self.cell((self.THETA,))) == len(self.LAMBDAS)
         info = link_coefficients.cache_info()
         assert info.misses == 1
-        assert info.hits == 2 * len(self.LAMBDAS) - 1
+        assert info.hits == len(self.LAMBDAS)
 
     def test_warm_rows_converge_after_the_newton_step(self):
         rows = self.cell((self.THETA,))
         for row in rows[1:]:
             assert row.converged and row.wardrop_ok
             assert row.iterations <= 3
+
+
+def recorded_sweep(net, sc):
+    """``run_scenario``'s solve results in order, its rows (None if a
+    solve raised DomainError or SolverError) and that error."""
+    results = []
+    solve = cmte.scenario.extragradient_solve
+
+    def recording(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cmte.scenario, "extragradient_solve", recording)
+        try:
+            return results, run_scenario(net, sc).rows, None
+        except (DomainError, SolverError) as exc:
+            return results, None, exc
+
+
+def fresh_chain(net, sc):
+    """The solves of ``run_scenario`` in order, each compiling its own
+    problem, warm-started from the last converged flows of its cell; and
+    the DomainError or SolverError that ended them, if one did."""
+    rs = build_route_set(net)
+    results = []
+    for theta in sc.theta_grid:
+        for q in sc.demand_grid:
+            point = net.with_uniform_theta(theta).with_scaled_demand(
+                q / net.total_demand())
+            f0 = None
+            for lam in sc.lambda_grid:
+                try:
+                    res = extragradient_solve(point, rs, sc.bpr, RiskProfile(sc.alpha, lam),
+                                              sc.solver, f0=f0)
+                except (DomainError, SolverError) as exc:
+                    return results, exc
+                results.append(res)
+                if res.converged:
+                    f0 = res.f_star
+    return results, None
+
+
+def assert_reuse_matches_fresh(net, sc):
+    results, rows, err = recorded_sweep(net, sc)
+    fresh, fresh_err = fresh_chain(net, sc)
+    assert len(results) == len(fresh)
+    for a, b in zip(results, fresh):  # flows, psi, histories and every counter
+        for f in dataclasses.fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y, f.name
+    assert type(err) is type(fresh_err) and str(err) == str(fresh_err)
+    if rows is not None:
+        for row, b in zip(rows, fresh, strict=True):
+            assert (row.iterations, row.converged) == (b.iterations, b.converged)
+            for x, y in ((row.flows, b.f_star), (row.psi, b.cmtt_per_route),
+                         (row.residual_history, b.residual_history),
+                         (row.antt_history, b.antt_history),
+                         (row.step_history, b.step_history)):
+                assert np.array_equal(x, y)
+    return results, err
+
+
+# a small acyclic network from node 1 to node 4: links 1->2 and 2->4 always,
+# each other arc (or a parallel copy) when drawn; the sweep sets theta
+_ARCS = ((1, 2), (2, 4), (1, 3), (3, 4), (2, 3), (1, 4), (1, 2), (3, 4))
+_LINK_DATA = st.tuples(st.booleans(), st.floats(1.0, 20.0), st.floats(100.0, 2000.0))
+
+
+class TestCompiledOnce:
+    """A cell compiles its problem once and sets c per lambda; every row
+    must equal the solve that compiles its own."""
+
+    def test_standin_cells(self):
+        sc = Scenario(lambda_grid=TestContinuation.LAMBDAS, demand_grid=(3000.0, 6000.0),
+                      theta_grid=(0.6, 0.9), solver=FAST_SOLVER)
+        results, err = assert_reuse_matches_fresh(standin_network(), sc)
+        assert err is None and len(results) == 44
+
+    def test_domain_break_at_the_same_lambda(self):
+        # alpha 0.6 and theta 0.1: c < 0 once lambda > alpha, and the mean
+        # coefficient stops covering |c| times the deviation one at 0.8
+        sc = Scenario(alpha=0.6, lambda_grid=(0.5, 0.6, 0.7, 0.8, 0.9),
+                      demand_grid=(4000.0,), theta_grid=(0.1,), solver=FAST_SOLVER)
+        results, err = assert_reuse_matches_fresh(standin_network(), sc)
+        assert isinstance(err, DomainError) and "not monotone" in str(err)
+        assert len(results) == 3
+
+    @settings(max_examples=25, deadline=None)
+    @given(links=st.lists(_LINK_DATA, min_size=len(_ARCS), max_size=len(_ARCS)),
+           demand=st.floats(100.0, 3000.0), second_od=st.floats(0.0, 1000.0),
+           alpha=st.sampled_from([0.6, 0.9]),
+           lambdas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+           thetas=st.lists(st.floats(0.1, 1.0), min_size=1, max_size=2))
+    def test_small_networks(self, links, demand, second_od, alpha, lambdas, thetas):
+        net = Network(tuple(Link(i + 1, tail, head, t0, cap, 1.0)
+                            for i, ((tail, head), (drawn, t0, cap))
+                            in enumerate(zip(_ARCS, links)) if i < 2 or drawn),
+                      (ODPair(1, 4, demand), ODPair(2, 4, second_od)))
+        sc = Scenario(alpha=alpha, lambda_grid=tuple(sorted(lambdas)),
+                      demand_grid=(demand,), theta_grid=tuple(thetas),
+                      solver=SolverConfig(max_iter=500))
+        assert_reuse_matches_fresh(net, sc)
 
 
 class TestEmitResults:

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +9,10 @@ from cmte.bpr import BprParams, route_moments
 from cmte.indices import IndexKind, RiskProfile
 from cmte.network import Link, Network, ODPair, build_route_set, check_feasible, link_flows
 from cmte.presets import parallel_links_network, standin_network, three_route_toy
+import cmte.bpr
 import cmte.solver
-from cmte.solver import (GAP_TOL, DomainError, SolverConfig, SolverError, _face_newton,
-                         assemble_F, compile_problem, extragradient_solve,
+from cmte.solver import (GAP_TOL, DomainError, Problem, SolverConfig, SolverError,
+                         _face_newton, assemble_F, compile_problem, extragradient_solve,
                          natural_residual, project, route_costs, wardrop_check)
 
 P = BprParams()
@@ -68,6 +70,12 @@ def reference_project(u, prob):
     return x
 
 
+def jacobian(prob, f):
+    """``Problem.jacobian`` at route flows f, from F's evaluation there."""
+    _, _, v, sigma = assemble_F(f, prob)
+    return prob.jacobian(v, sigma)
+
+
 def numeric_jacobian(prob, f, h):
     """Central differences of assemble_F; second-order one-sided ones where
     f - h would cross the kink of max(f, 0) at zero flow."""
@@ -103,7 +111,7 @@ class TestJacobian:
                                          for l, t in zip(base.links, thetas)))
         _, prob = compiled(net, RiskProfile(0.9, lam))
         f = np.array(flows)
-        J = prob.jacobian(f)
+        J = jacobian(prob, f)
         assert np.allclose(J, numeric_jacobian(prob, f, 1e-2), rtol=1e-5,
                            atol=1e-7 * np.abs(J).max(initial=1.0))
 
@@ -111,7 +119,7 @@ class TestJacobian:
         # routes 0 and 2 carry no flow on links of their own: sigma = 0 there
         _, prob = compiled(parallel_links_network(n_links=3, demand=500.0))
         f = np.array([0.0, 500.0, 0.0])
-        J = prob.jacobian(f)
+        J = jacobian(prob, f)
         assert np.array_equal(J[[0, 2]], np.zeros((2, 3)))
         assert J[1, 1] > 0.0
         assert np.allclose(J, numeric_jacobian(prob, f, 1e-2), rtol=1e-5, atol=1e-12)
@@ -121,7 +129,7 @@ class TestJacobian:
         # gradient map, so J is symmetric
         _, prob = compiled(standin_network(theta=1.0))
         f = np.full(6, 4000.0 / 6)
-        J = prob.jacobian(f)
+        J = jacobian(prob, f)
         assert np.allclose(J, J.T, rtol=1e-14, atol=0.0)
         assert np.allclose(J, numeric_jacobian(prob, f, 1e-2), rtol=1e-6, atol=0.0)
 
@@ -195,7 +203,7 @@ class TestAssembleF:
         net = parallel_links_network(n_links=1, demand=500.0)
         rs, prob = compiled(net)
         f = np.array([500.0])
-        F, mu = assemble_F(f, prob)
+        F, mu, *_ = assemble_F(f, prob)
         assert np.allclose(F, route_costs(f, net, rs, P, PROFILE), rtol=1e-12)
         assert np.allclose(mu, route_moments(net, rs, link_flows(rs, f), P).mu,
                            rtol=1e-12)
@@ -203,7 +211,7 @@ class TestAssembleF:
     def test_zero_point(self):
         net = parallel_links_network(n_links=2, demand=500.0)
         rs, prob = compiled(net)
-        F, mu = assemble_F(np.zeros(2), prob)
+        F, mu, *_ = assemble_F(np.zeros(2), prob)
         assert np.allclose(F, route_costs(np.zeros(2), net, rs, P, PROFILE), rtol=1e-12)
         assert np.allclose(mu, [net.links[0].t0, net.links[1].t0], rtol=1e-12)
 
@@ -211,10 +219,12 @@ class TestAssembleF:
         net = three_route_toy()
         rs, prob = compiled(net)
         f = np.array([700.0, 200.0, 100.0])
-        F, mu = assemble_F(f, prob)
+        F, mu, v, sigma = assemble_F(f, prob)
         assert np.allclose(F, route_costs(f, net, rs, P, PROFILE), rtol=1e-12)
-        assert np.allclose(mu, route_moments(net, rs, link_flows(rs, f), P).mu,
-                           rtol=1e-12)
+        mom = route_moments(net, rs, link_flows(rs, f), P)
+        assert np.allclose(mu, mom.mu, rtol=1e-12)
+        assert np.array_equal(v, link_flows(rs, f))
+        assert np.allclose(sigma, mom.sigma, rtol=1e-12)
 
     def test_dimension_mismatch(self):
         _, prob = compiled(parallel_links_network(n_links=2))
@@ -226,20 +236,20 @@ class TestNaturalResidual:
     def test_zero_at_fixed_point(self):
         _, prob = compiled(parallel_links_network(n_links=1, demand=500.0))
         u = np.array([500.0])
-        F, _ = assemble_F(u, prob)
+        F, *_ = assemble_F(u, prob)
         assert natural_residual(u, F, prob) == pytest.approx(0.0, abs=1e-14)
 
     def test_positive_at_origin(self):
         _, prob = compiled(parallel_links_network(n_links=2, demand=500.0))
         u = np.zeros(2)
-        F, _ = assemble_F(u, prob)
+        F, *_ = assemble_F(u, prob)
         assert natural_residual(u, F, prob) > 0.0
 
     def test_positive_off_equilibrium(self):
         # all demand on one of two identical routes: feasible, not Wardrop
         _, prob = compiled(parallel_links_network(n_links=2, demand=500.0))
         u = np.array([500.0, 0.0])
-        F, _ = assemble_F(u, prob)
+        F, *_ = assemble_F(u, prob)
         assert natural_residual(u, F, prob) > 0.0
 
 
@@ -255,6 +265,20 @@ class TestDomain:
         net = standin_network().with_uniform_theta(0.3)
         with pytest.raises(ValueError, match="not monotone"):
             extragradient_solve(net, build_route_set(net), P, RiskProfile(0.5, 1.0))
+
+    def test_with_risk_rejects_as_compile_does(self):
+        # a problem compiled without a profile (c = 0) takes each c through
+        # the same check, and the rejected c leaves it unchanged
+        net = standin_network().with_uniform_theta(0.3)
+        rs = build_route_set(net)
+        prob = compile_problem(net, rs, P)
+        with pytest.raises(DomainError) as compiling:
+            compile_problem(net, rs, P, RiskProfile(0.5, 1.0))
+        with pytest.raises(DomainError) as setting:
+            prob.with_risk(RiskProfile(0.5, 1.0))
+        assert str(setting.value) == str(compiling.value)
+        assert prob.c == 0.0
+        assert prob.with_risk(PROFILE).c == compile_problem(net, rs, P, PROFILE).c
 
     @pytest.mark.parametrize("theta, cap", [(1e-300, 1000.0), (0.8, 1e-80)])
     def test_non_finite_coefficients_rejected(self, theta, cap):
@@ -319,7 +343,7 @@ class TestExtragradient:
         rs, prob = compiled(net)
         res = extragradient_solve(net, rs, P, PROFILE, SolverConfig(max_iter=5))
         assert not res.converged
-        F, mu = assemble_F(res.f_star, prob)
+        F, mu, *_ = assemble_F(res.f_star, prob)
         assert np.array_equal(res.cmtt_per_route, F)
         assert res.residual_history[-1] == natural_residual(res.f_star, F, prob)
         assert res.antt_history[-1] == pytest.approx(
@@ -376,15 +400,16 @@ class TestNewtonWarmStart:
         rs, prob = compiled(net, RiskProfile(0.9, 0.6))
         u = extragradient_solve(net, rs, P, RiskProfile(0.9, 0.5)).f_star
         used = np.flatnonzero(u > 1e-4 * net.total_demand())
-        J = prob.jacobian(u)[np.ix_(used, used)]
+        J = jacobian(prob, u)[np.ix_(used, used)]
         assert np.linalg.matrix_rank(J) < used.size
-        F, mu = assemble_F(u, prob)
+        F, mu, *_ = assemble_F(u, prob)
         w = u - project(u - F, prob)
-        u_new, F_new, mu_new, w_new = _face_newton(u, F, w, prob)
+        u_new, at_new, w_new = _face_newton(u, F, w, jacobian(prob, u), prob)
+        F_new = at_new[0]
         assert np.all(np.isfinite(u_new))
         assert rs.lambda_inc @ u_new == pytest.approx([net.total_demand()], rel=1e-12)
         assert natural_residual(u_new, F_new, prob) < natural_residual(u, F, prob)
-        assert np.array_equal((F_new, mu_new), assemble_F(u_new, prob))
+        assert all(np.array_equal(a, b) for a, b in zip(at_new, assemble_F(u_new, prob)))
         assert np.array_equal(w_new, u_new - project(u_new - F_new, prob))
 
     def test_non_finite_system_is_not_solved(self):
@@ -396,9 +421,10 @@ class TestNewtonWarmStart:
         rs, prob = compiled(net)
         u = np.array([2.0, 2.0])
         with np.errstate(all="ignore"):
-            F, _ = assemble_F(u, prob)
-            assert np.all(np.isfinite(F)) and not np.all(np.isfinite(prob.jacobian(u)))
-            assert _face_newton(u, F, u - project(u - F, prob), prob) is None
+            F, *_ = assemble_F(u, prob)
+            assert np.all(np.isfinite(F)) and not np.all(np.isfinite(jacobian(prob, u)))
+            assert _face_newton(u, F, u - project(u - F, prob), jacobian(prob, u),
+                                prob) is None
             res = extragradient_solve(net, rs, P, PROFILE, f0=u)
         assert res.converged and res.newton_tried == 0
 
@@ -407,7 +433,7 @@ class TestNewtonWarmStart:
         net = parallel_links_network(n_links=2, demand=2000.0)
         rs, prob = compiled(net)
         u = np.array([1000.0, 1000.0])
-        F, _ = assemble_F(u, prob)
+        F, *_ = assemble_F(u, prob)
         assert natural_residual(u, F, prob) == 0.0
         res = extragradient_solve(net, rs, P, PROFILE, f0=u)
         assert (res.newton_tried, res.newton_kept) == (1, 0)
@@ -432,11 +458,11 @@ class TestFaceNewtonSchedule:
         # the history, exactly as the candidate's was computed
         tries = []
 
-        def recorded(u, Fu, w, prob):
-            step = _face_newton(u, Fu, w, prob)
+        def recorded(u, Fu, w, J, prob):
+            step = _face_newton(u, Fu, w, J, prob)
             if step is not None:
                 tries.append((natural_residual(u, Fu, prob),
-                              natural_residual(step[0], step[1], prob)))
+                              natural_residual(step[0], step[1][0], prob)))
             return step
 
         monkeypatch.setattr(cmte.solver, "_face_newton", recorded)
@@ -478,14 +504,53 @@ class TestFaceNewtonSchedule:
         assert warm.newton_tried == 1
 
 
+class TestWarmSolveWork:
+    def test_a_compiled_warm_solve_derives_nothing_again(self, monkeypatch):
+        # given the cell's compiled problem, a warm lambda solve reads its
+        # link coefficients, and its one face-Newton try builds the Jacobian
+        # from the link flows and sigma of F's evaluation at the iterate
+        net = standin_network()
+        rs = build_route_set(net)
+        prob = compile_problem(net, rs, P)
+        f0 = extragradient_solve(net, rs, P, RiskProfile(0.9, 0.4), problem=prob).f_star
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (cmte.solver, cmte.bpr):
+            monkeypatch.setattr(module, "link_coefficients",
+                                counted("link_coefficients", module.link_coefficients))
+        monkeypatch.setattr(Problem, "jacobian", counted("jacobian", Problem.jacobian))
+        monkeypatch.setattr(Problem, "link_flows", counted("link_flows", Problem.link_flows))
+        res = extragradient_solve(net, rs, P, PROFILE, f0=f0, problem=prob)
+        assert res.converged and res.iterations == 1
+        assert res.newton_tried == res.newton_kept == 1
+        assert calls == {"jacobian": 1, "link_flows": res.f_evals}
+
+    def test_four_positional_call_matches_the_compiled_one(self):
+        net = grid_network(3, seed=2)
+        rs = build_route_set(net)
+        prob = compile_problem(net, rs, P, RiskProfile(0.9, 0.1))
+        a = extragradient_solve(net, rs, P, PROFILE)
+        b = extragradient_solve(net, rs, P, PROFILE, problem=prob)
+        assert (a.iterations, a.f_evals, a.backtracks, a.newton_tried, a.newton_kept) == (
+            b.iterations, b.f_evals, b.backtracks, b.newton_tried, b.newton_kept)
+        assert np.array_equal(a.f_star, b.f_star)
+        assert np.array_equal(a.residual_history, b.residual_history)
+
+
 class TestSolverError:
     def test_non_finite_iterate(self, monkeypatch):
         calls = []
 
         def poisoned(u, prob):
             calls.append(None)
-            F, mu = assemble_F(u, prob)
-            return (F * np.nan, mu) if len(calls) == 3 else (F, mu)
+            F, *rest = assemble_F(u, prob)
+            return (F * np.nan, *rest) if len(calls) == 3 else (F, *rest)
 
         # the 3rd evaluation is F at the first accepted step
         monkeypatch.setattr(cmte.solver, "assemble_F", poisoned)
