@@ -160,6 +160,7 @@ class Problem:
     # contiguous), its demand and the ranks 1..size, for ``project``
     od_blocks: tuple[tuple[slice | np.ndarray, float, np.ndarray], ...]
     links: tuple[Link, ...]  # the network's links, named in DomainError
+    bpr: BprParams           # the BPR form the coefficients were computed under
 
     def with_risk(self, profile: RiskProfile, kind: IndexKind = IndexKind.CMTT
                   ) -> "Problem":
@@ -215,15 +216,13 @@ def _od_blocks(od_routes: tuple[np.ndarray, ...], q: np.ndarray) -> tuple:
     return tuple(blocks)
 
 
-def compile_problem(net: Network, rs: RouteSet, p: BprParams,
-                    profile: RiskProfile | None = None,
-                    kind: IndexKind = IndexKind.CMTT) -> Problem:
-    """Compile a solve's network, route set, BPR form and index into arrays,
-    with c from ``Problem.with_risk`` (0, the mean index, without profile).
+def compile_problem(net: Network, rs: RouteSet, p: BprParams) -> Problem:
+    """Compile a solve's network, route set and BPR form into arrays, with
+    c = 0 (the mean index); ``Problem.with_risk`` sets c.
 
     Raises DomainError unless every link's coefficients are finite (a
     degradation degree or capacity so small that they overflow is outside
-    the model's domain), and as ``Problem.with_risk`` does.
+    the model's domain).
     """
     t0, a_mean, a_var = link_coefficients(net.links, p)
     bad = np.flatnonzero(~(np.isfinite(t0) & np.isfinite(a_mean) & np.isfinite(a_var)))
@@ -233,10 +232,9 @@ def compile_problem(net: Network, rs: RouteSet, p: BprParams,
             f"moment coefficients of link {net.links[i].id} are not finite: t0 "
             f"{t0[i]:.6g}, mean {a_mean[i]:.6g}, variance {a_var[i]:.6g}")
     q = np.array([od.demand for od in net.od_pairs], dtype=float)
-    prob = Problem(t0=t0, a_mean=a_mean, a_var=a_var, n=p.n, delta=rs.delta,
+    return Problem(t0=t0, a_mean=a_mean, a_var=a_var, n=p.n, delta=rs.delta,
                    lambda_inc=rs.lambda_inc, q=q, c=0.0, od_routes=rs.od_routes,
-                   od_blocks=_od_blocks(rs.od_routes, q), links=net.links)
-    return prob if profile is None else prob.with_risk(profile, kind)
+                   od_blocks=_od_blocks(rs.od_routes, q), links=net.links, bpr=p)
 
 
 def route_costs(f: np.ndarray, net: Network, rs: RouteSet, p: BprParams,
@@ -306,13 +304,18 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
     or overflow and on step-size underflow, and DomainError outside the
     model's domain.
 
-    ``problem``, if given, is ``compile_problem(net, rs, p)`` under any
-    risk profile; the solve sets its risk coefficient from profile and
-    kind (``Problem.with_risk``) instead of compiling again, so the
-    solves of a lambda series compile once.
+    ``problem``, if given, is ``compile_problem(net, rs, p)`` (under any
+    risk coefficient), so the solves of a lambda series compile once;
+    ValueError if its links, route incidence, demands or BPR form are
+    not those of net, rs and p.  Either way the solve sets the risk
+    coefficient from profile and kind (``Problem.with_risk``).
     """
-    prob = (compile_problem(net, rs, p, profile, kind) if problem is None
-            else problem.with_risk(profile, kind))
+    if problem is None:
+        problem = compile_problem(net, rs, p)
+    elif not _compiled_from(problem, net, rs, p):
+        raise ValueError("problem was not compiled from this network, route set "
+                         "and BPR form")
+    prob = problem.with_risk(profile, kind)
     total_q = prob.q.sum()
     if f0 is None:
         f0 = prob.lambda_inc.T @ (prob.q / np.maximum(prob.lambda_inc.sum(axis=1), 1.0))
@@ -384,6 +387,14 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
         backtracks=backtracks, newton_tried=tried, newton_kept=kept)
 
 
+def _compiled_from(prob: Problem, net: Network, rs: RouteSet, p: BprParams) -> bool:
+    """Whether prob holds net's links and demands, rs's incidence and p."""
+    return ((prob.links is net.links or prob.links == net.links)
+            and prob.delta is rs.delta and prob.lambda_inc is rs.lambda_inc
+            and prob.bpr == p
+            and prob.q.tolist() == [od.demand for od in net.od_pairs])
+
+
 def _scaled_max(w: np.ndarray, u: np.ndarray) -> float:
     """||w||_inf / (1 + ||u||_inf): the natural residual when w = u - P(u - F(u))."""
     return float(np.abs(w).max() / (1.0 + np.abs(u).max()))
@@ -401,7 +412,9 @@ def _face_newton(u: np.ndarray, Fu: np.ndarray, w: np.ndarray, J: np.ndarray,
         if ks.size:
             eps = min(1e-3 * q, np.abs(w[ks]).max())
             free[ks] = (u[ks] > eps) | (Fu[ks] <= Fu[ks].min())
-    if free.all():  # the whole face: no gather copies
+    # the whole face, as in 582 of the stand-in sweep's 628 tries: J, F and
+    # Lambda as they are, since gathering them costs 7-10 us on six routes
+    if free.all():
         U, F_U, L = slice(None), Fu, prob.lambda_inc
     else:
         U = np.flatnonzero(free)

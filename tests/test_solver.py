@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmte.bpr import BprParams, route_moments
-from cmte.indices import IndexKind, RiskProfile
+from cmte.indices import IndexKind, RiskProfile, risk_coefficient
 from cmte.network import Link, Network, ODPair, build_route_set, check_feasible, link_flows
 from cmte.presets import parallel_links_network, standin_network, three_route_toy
 import cmte.bpr
@@ -21,7 +21,7 @@ PROFILE = RiskProfile(0.9, 0.5)
 
 def compiled(net, profile=PROFILE):
     rs = build_route_set(net)
-    return rs, compile_problem(net, rs, P, profile)
+    return rs, compile_problem(net, rs, P).with_risk(profile)
 
 
 def od_network(route_counts, demands):
@@ -266,19 +266,19 @@ class TestDomain:
         with pytest.raises(ValueError, match="not monotone"):
             extragradient_solve(net, build_route_set(net), P, RiskProfile(0.5, 1.0))
 
-    def test_with_risk_rejects_as_compile_does(self):
-        # a problem compiled without a profile (c = 0) takes each c through
-        # the same check, and the rejected c leaves it unchanged
+    def test_with_risk_rejects_as_a_solve_does(self):
+        # a compiled problem (c = 0) takes each c through the check a solve
+        # runs, and the rejected c leaves it unchanged
         net = standin_network().with_uniform_theta(0.3)
         rs = build_route_set(net)
         prob = compile_problem(net, rs, P)
-        with pytest.raises(DomainError) as compiling:
-            compile_problem(net, rs, P, RiskProfile(0.5, 1.0))
+        with pytest.raises(DomainError) as solving:
+            extragradient_solve(net, rs, P, RiskProfile(0.5, 1.0))
         with pytest.raises(DomainError) as setting:
             prob.with_risk(RiskProfile(0.5, 1.0))
-        assert str(setting.value) == str(compiling.value)
+        assert str(setting.value) == str(solving.value)
         assert prob.c == 0.0
-        assert prob.with_risk(PROFILE).c == compile_problem(net, rs, P, PROFILE).c
+        assert prob.with_risk(PROFILE).c == risk_coefficient(IndexKind.CMTT, PROFILE)
 
     @pytest.mark.parametrize("theta, cap", [(1e-300, 1000.0), (0.8, 1e-80)])
     def test_non_finite_coefficients_rejected(self, theta, cap):
@@ -534,13 +534,28 @@ class TestWarmSolveWork:
     def test_four_positional_call_matches_the_compiled_one(self):
         net = grid_network(3, seed=2)
         rs = build_route_set(net)
-        prob = compile_problem(net, rs, P, RiskProfile(0.9, 0.1))
+        prob = compile_problem(net, rs, P).with_risk(RiskProfile(0.9, 0.1))
         a = extragradient_solve(net, rs, P, PROFILE)
         b = extragradient_solve(net, rs, P, PROFILE, problem=prob)
         assert (a.iterations, a.f_evals, a.backtracks, a.newton_tried, a.newton_kept) == (
             b.iterations, b.f_evals, b.backtracks, b.newton_tried, b.newton_kept)
         assert np.array_equal(a.f_star, b.f_star)
         assert np.array_equal(a.residual_history, b.residual_history)
+
+    def test_a_problem_compiled_from_other_inputs_is_refused(self):
+        # a scaled-demand copy keeps the network's link tuple, so the
+        # demands must be compared as well as the links
+        net = standin_network()
+        rs = build_route_set(net)
+        prob = compile_problem(net, rs, P)
+        other_links = net.with_uniform_theta(0.7)
+        for args in ((net.with_scaled_demand(1.5), rs, P),
+                     (other_links, rs, P),
+                     (net, build_route_set(net), P),
+                     (net, rs, BprParams(beta=0.2))):
+            with pytest.raises(ValueError, match="not compiled from"):
+                extragradient_solve(*args, PROFILE, problem=prob)
+        assert extragradient_solve(net, rs, P, PROFILE, problem=prob).converged
 
 
 class TestSolverError:
