@@ -12,7 +12,7 @@ from .montecarlo import McConfig, mc_link_moments, mc_tail_means
 from .network import (Link, Network, ODPair, Route, RouteSet, build_route_set,
                       check_feasible, enumerate_routes, link_flows, load_network)
 from .presets import parallel_links_network, standin_network, three_route_toy
-from .scenario import Scenario, SweepResult, antt, emit_results, run_scenario
+from .scenario import Scenario, SweepResult, emit_results, run_scenario
 from .solver import (EquilibriumResult, SolverConfig, assemble_F,
                      extragradient_solve, natural_residual, project,
                      wardrop_check)

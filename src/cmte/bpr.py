@@ -16,10 +16,7 @@ linear terms, so nothing cancels anywhere in theta in (0, 1]: theta = 1
 (x = 0) gives plain BPR and zero variance with no branch.
 ``link_coefficients`` computes (t0, a_mean, a_var) for a tuple of links
 at once; every other function here, and the solver's compiled problem,
-reads its output.  It is memoized on its hashable inputs (the tuple of
-frozen links and the frozen parameters; a network's link tuple computes
-its hash once), so a sweep cell's compile and its ANTT cross-checks
-compute them once; the arrays it returns are shared and read-only.
+reads its output.
 
 Route moments aggregate link moments under independence: means add,
 variances add, sigma = sqrt of the variance sum.
@@ -30,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -39,7 +36,6 @@ from .network import Link, Network, RouteSet
 __all__ = ["BprParams", "RouteMoments", "bpr_time", "link_coefficients", "link_mean",
            "link_var", "link_moments_vector", "route_moments"]
 
-COEFFICIENT_CACHE_SIZE = 32  # link tuples whose coefficients are kept
 
 @dataclass(frozen=True)
 class BprParams:
@@ -47,10 +43,15 @@ class BprParams:
     n: int = 4
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
         if not isinstance(self.n, (int, np.integer)) or self.n < 2:
             raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
+        try:
+            _variance_polynomial(self.n)
+        except OverflowError:
+            raise ValueError(f"n = {self.n} is too large: the variance polynomial's "
+                             "coefficients overflow a float") from None
 
 
 @dataclass(frozen=True)
@@ -96,24 +97,15 @@ def _variance_polynomial(n: int) -> tuple[float, ...]:
     return tuple(float(c) for c in reversed(var))
 
 
-@lru_cache(maxsize=COEFFICIENT_CACHE_SIZE)
 def link_coefficients(links: tuple[Link, ...], p: BprParams):
-    """Per-link arrays (t0, a_mean, a_var) of the moment polynomials.
-
-    ``links`` must be a tuple (it is a cache key).  Equal inputs, such as
-    two copies of a network with the same theta, get the same arrays
-    back; they are read-only, since every caller shares them.
-    """
+    """Per-link arrays (t0, a_mean, a_var) of the moment polynomials."""
     t0, cap, theta = np.array([(l.t0, l.cap_design, l.theta) for l in links],
                               dtype=float).reshape(-1, 3).T
     with np.errstate(over="ignore"):  # an overflow reads inf, rejected by the solver
         scale = p.beta * t0 / cap ** p.n
         m_n = (theta[:, None] ** -np.arange(1, p.n)).sum(axis=1) / (p.n - 1)
         x = (1.0 - theta) / theta  # 1 - theta is exact for theta >= 1/2
-        out = t0, scale * m_n, scale ** 2 * np.polyval(_variance_polynomial(p.n), x)
-    for a in out:
-        a.flags.writeable = False
-    return out
+        return t0, scale * m_n, scale ** 2 * np.polyval(_variance_polynomial(p.n), x)
 
 
 def link_mean(link: Link, v, p: BprParams):

@@ -28,6 +28,7 @@ When a ``[routes]`` section is present it overrides enumeration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -70,11 +71,12 @@ class Link:
     theta: float         # degradation degree; realized cap ~ U(theta*cap, cap)
 
     def __post_init__(self):
-        if self.t0 <= 0:
-            raise NetworkValidationError(f"link {self.id}: t0 must be > 0, got {self.t0}")
-        if self.cap_design <= 0:
+        if not 0 < self.t0 < math.inf:  # NaN fails this too
             raise NetworkValidationError(
-                f"link {self.id}: cap_design must be > 0, got {self.cap_design}")
+                f"link {self.id}: t0 must be finite and > 0, got {self.t0}")
+        if not 0 < self.cap_design < math.inf:
+            raise NetworkValidationError(
+                f"link {self.id}: cap_design must be finite and > 0, got {self.cap_design}")
         if not 0.0 < self.theta <= 1.0:
             raise NetworkValidationError(
                 f"link {self.id}: theta must be in (0, 1], got {self.theta}")
@@ -90,33 +92,19 @@ class ODPair:
         if self.origin == self.destination:
             raise NetworkValidationError(f"OD {self.origin}->{self.destination}: "
                                          "origin and destination must differ")
-        if self.demand < 0:
+        if not 0 <= self.demand < math.inf:
             raise NetworkValidationError(
-                f"OD {self.origin}->{self.destination}: demand must be >= 0, "
+                f"OD {self.origin}->{self.destination}: demand must be finite and >= 0, "
                 f"got {self.demand}")
-
-
-class _LinkTuple(tuple):
-    """A tuple of links that hashes, like the plain tuple, once: it keys
-    ``bpr.link_coefficients``, and each ``Link`` hash builds a tuple."""
-
-    @cached_property
-    def _hash(self) -> int:
-        return tuple.__hash__(self)
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 @dataclass(frozen=True)
 class Network:
-    links: tuple[Link, ...]  # stored as a _LinkTuple
+    links: tuple[Link, ...]
     od_pairs: tuple[ODPair, ...]
     preset_routes: tuple[tuple[int, ...], ...] = ()  # explicit link-id sequences
 
     def __post_init__(self):
-        if type(self.links) is not _LinkTuple:  # a copy keeps its links' hash
-            object.__setattr__(self, "links", _LinkTuple(self.links))
         ids = [l.id for l in self.links]
         if len(set(ids)) != len(ids):
             raise NetworkValidationError("duplicate link ids")

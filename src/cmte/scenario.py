@@ -16,38 +16,39 @@ after a few extra-gradient steps (see ``cmte.solver``), so a cell's rows
 do not depend on which other cells the sweep holds.
 
 ANTT (average network travel time) is the demand-weighted mean route
-travel time sum_k f_k * mu_k / sum_od q.  By flow conservation this
-equals the link-level form sum_a v_a * E[T_a] / sum_od q; both are
-computed from one evaluation of the link means E[T_a] (the route means
-are mu = delta^T E[T]) and cross-checked on every row.
+travel time sum_k f_k * mu_k / sum_od q.  Each row reads it, with its
+``wardrop_ok``, from its solve's own result: the last entry of the ANTT
+history belongs to the returned flows, and a converged solve has passed
+``wardrop_check``'s gap test at its default tolerance.
 
 Within a cell only the risk coefficient changes with lambda, so the
 cell's problem is compiled once (``solver.compile_problem``) and each
-solve sets its own coefficient on it.  A cell's links depend on Theta
-alone, so the cells of other demand levels at the same Theta share their
-link moment coefficients: ``bpr.link_coefficients`` is memoized on the
-links, and every compile and cross-check reads the arrays the first one
-computed.  The route set, with its per-OD route indices, is built once
-per sweep.
+solve sets its own coefficient on it.  The route set, with its per-OD
+route indices, is built once per sweep.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-# route_moments stays importable here: benchmark/hooks.py wraps
-# scenario.route_moments and reports each name it lacks as absent
-from .bpr import BprParams, RouteMoments, link_moments_vector, route_moments  # noqa: F401
+from .bpr import BprParams
 from .indices import IndexKind, RiskProfile
-from .network import Network, RouteSet, build_route_set, link_flows
-from .solver import SolverConfig, compile_problem, extragradient_solve, wardrop_check
+from .network import Network, build_route_set
+from .solver import SolverConfig, compile_problem, extragradient_solve
+
+# unused here, but benchmark/hooks.py times these scenario.* names and
+# reports each one this module lacks as absent
+from .bpr import link_moments_vector, route_moments  # noqa: F401
+from .network import link_flows  # noqa: F401
+from .solver import wardrop_check  # noqa: F401
 
 __all__ = ["Scenario", "SweepRow", "SweepResult", "ScenarioError",
-           "antt", "run_scenario", "emit_results", "fmt_float"]
+           "run_scenario", "emit_results", "fmt_float"]
 
 
 class ScenarioError(ValueError):
@@ -78,8 +79,8 @@ class Scenario:
                 raise ScenarioError(f"{name} must be nonempty")
         if any(not 0.0 <= lam <= 1.0 for lam in self.lambda_grid):
             raise ScenarioError("lambda values must lie in [0, 1]")
-        if any(q <= 0 for q in self.demand_grid):
-            raise ScenarioError("demand values must be > 0")
+        if any(not 0 < q < math.inf for q in self.demand_grid):
+            raise ScenarioError("demand values must be finite and > 0")
         if any(not 0.0 < t <= 1.0 for t in self.theta_grid):
             raise ScenarioError("theta values must lie in (0, 1]")
 
@@ -142,22 +143,14 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-def antt(f: np.ndarray, rs: RouteSet, moments: RouteMoments,
-         total_demand: float) -> float:
-    """Demand-weighted average route mean travel time."""
-    if total_demand <= 0:
-        raise ZeroDivisionError("total demand must be > 0 for ANTT")
-    return float(np.asarray(f) @ moments.mu / total_demand)
-
-
 def run_scenario(net: Network, sc: Scenario) -> SweepResult:
     """Solve every (theta, demand, lambda) grid point in deterministic order.
 
     For each point the base network gets a uniform theta and its OD
     demands scaled so they total the grid demand.  Along each cell's
     lambda series a solve is warm-started from the last converged flows
-    (see the module docstring).  A row's wardrop_ok is ``wardrop_check``
-    at its default tolerance.  Failed solves are recorded with
+    (see the module docstring).  A row's ANTT and wardrop_ok are its
+    solve's (see the module docstring).  Failed solves are recorded with
     converged=False, never dropped.
     """
     base_q = net.total_demand()
@@ -176,19 +169,12 @@ def run_scenario(net: Network, sc: Scenario) -> SweepResult:
                                           f0=f0, kind=IndexKind.CMTT, problem=prob)
                 if res.converged:
                     f0 = res.f_star
-                v = link_flows(rs, res.f_star)
-                means = link_moments_vector(point_net, v, sc.bpr)[0]
-                a = float(res.f_star @ (rs.delta.T @ means) / q)
-                a_link = float(v @ means / q)
-                if res.converged and abs(a - a_link) > 1e-6 * max(1.0, abs(a)):
-                    raise RuntimeError(
-                        f"ANTT cross-check failed: route form {a} vs link form {a_link}")
-                wok = wardrop_check(res, point_net, rs).passed if res.converged else False
                 rows.append(SweepRow(
-                    lam=lam, demand=q, theta=theta, antt=a,
+                    lam=lam, demand=q, theta=theta,
+                    antt=float(res.antt_history[-1]),
                     iterations=res.iterations,
                     residual=float(res.residual_history[-1]),
-                    converged=res.converged, wardrop_ok=wok,
+                    converged=res.converged, wardrop_ok=res.converged,
                     flows=res.f_star, psi=res.cmtt_per_route,
                     residual_history=res.residual_history,
                     antt_history=res.antt_history,

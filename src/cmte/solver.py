@@ -113,8 +113,10 @@ class SolverConfig:
     max_iter: int = 10_000
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        if not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -169,7 +171,9 @@ class Problem:
         Raises DomainError unless a_mean >= max(-c, 0) * sqrt(a_var) on
         every link.  Since a route's sigma is at most the sum of its links'
         sqrt(a_var) * v^n, this keeps every route index positive and
-        nondecreasing in each link flow, so the mapping is monotone.
+        nondecreasing in each link flow.  It does not make the VI map
+        monotone: with c != 0 the deviation part of its Jacobian is not
+        symmetric, and <F(g) - F(f), g - f> < 0 occurs at feasible f, g.
         """
         c = risk_coefficient(kind, profile)
         if c < 0.0:  # with c >= 0 the bound is 0, and a_mean >= 0 always

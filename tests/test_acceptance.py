@@ -16,7 +16,7 @@ from cmte.indices import (IndexKind, RiskProfile, cmtt, mbtt, mett,
 from cmte.montecarlo import McConfig, mc_link_moments, mc_tail_means
 from cmte.network import build_route_set, check_feasible, link_flows
 from cmte.presets import standin_network, three_route_toy
-from cmte.scenario import Scenario, antt, emit_results, run_scenario
+from cmte.scenario import Scenario, emit_results, run_scenario
 from cmte.solver import SolverConfig, extragradient_solve, wardrop_check
 
 P = BprParams()

@@ -1,5 +1,6 @@
 import json
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,39 @@ def test_non_finite_coefficients_exit_code(tmp_path, capsys):
     net.write_text("[links]\n1 1 2 10 1e-80 0.8\n2 1 2 12 600 0.8\n[od]\n1 2 1000\n")
     assert main(["solve", "--network", str(net)]) == 1
     assert "not finite" in capsys.readouterr().err
+
+
+_TOY_LINKS = "[links]\n1 1 2 10 500 0.8\n2 1 2 12 600 0.8\n"
+
+
+@pytest.mark.parametrize("command, links, demand, scenario, reason", [
+    ("solve", _TOY_LINKS, "1000", {"solver": {"max_iter": 1.5}}, "max_iter must be an integer"),
+    ("solve", _TOY_LINKS, "1000", {"bpr": {"n": 520}}, "n = 520 is too large"),
+    ("solve", _TOY_LINKS, "nan", None, "demand must be finite"),
+    ("solve", _TOY_LINKS, "inf", None, "demand must be finite"),
+    ("solve", _TOY_LINKS, "1000", {"demand_grid": [float("nan")]}, "demand values must be finite"),
+    ("solve", _TOY_LINKS, "1000", {"demand_grid": ["inf"]}, "demand values must be finite"),
+    ("solve", _TOY_LINKS, "1000", {"solver": {"tol": float("nan")}}, "tol must be finite"),
+    ("routes", "[links]\n1 1 2 nan 500 0.8\n", "1000", None, "t0 must be finite"),
+], ids=["fractional_max_iter", "overflowing_n", "nan_od_demand", "inf_od_demand",
+        "nan_grid_demand", "inf_grid_demand", "nan_tol", "nan_t0"])
+def test_non_finite_or_non_integer_input_is_a_config_error(
+        tmp_path, capsys, command, links, demand, scenario, reason):
+    # each was accepted by its validator and ended in a traceback, a numpy
+    # warning, a wrong reason or a silent NaN; no warning may escape now
+    net = tmp_path / "in.net"
+    net.write_text(f"{links}[od]\n1 2 {demand}\n")
+    argv = [command, "--network", str(net)]
+    if scenario is not None:
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps(scenario))  # float("nan") is written as NaN
+        argv += ["--scenario", str(sc)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and reason in err
+    assert "Traceback" not in err
 
 
 def test_missing_network_is_io_error(tmp_path, capsys):

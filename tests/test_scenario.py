@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmte.bpr import BprParams, link_coefficients, route_moments
+from cmte.bpr import BprParams, link_moments_vector, route_moments
 from cmte.indices import RiskProfile
 from cmte.network import Link, Network, ODPair, build_route_set, link_flows
 from cmte.presets import standin_network, three_route_toy
+import cmte.bpr
 import cmte.scenario
-from cmte.scenario import (Scenario, ScenarioError, SweepResult, antt,
-                           emit_results, run_scenario)
+import cmte.solver
+from cmte.scenario import Scenario, ScenarioError, SweepResult, emit_results, run_scenario
 from cmte.solver import (DomainError, SolverConfig, SolverError, extragradient_solve,
                          route_costs, wardrop_check)
 
@@ -62,32 +63,6 @@ class TestScenarioConfig:
             Scenario.from_json("not json")
 
 
-class TestAntt:
-    def test_single_route(self):
-        net = three_route_toy()
-        rs = build_route_set(net)
-        f = np.array([1000.0, 0.0, 0.0])
-        mom = route_moments(net, rs, link_flows(rs, f), BprParams())
-        assert antt(f, rs, mom, 1000.0) == pytest.approx(mom.mu[0])
-
-    def test_equal_flows_average(self):
-        net = three_route_toy()
-        rs = build_route_set(net)
-
-        class FakeMoments:
-            mu = np.array([10.0, 20.0, 30.0])
-
-        f = np.array([500.0, 500.0, 0.0])
-        assert antt(f, rs, FakeMoments(), 1000.0) == pytest.approx(15.0)
-
-    def test_zero_demand_guard(self):
-        net = three_route_toy()
-        rs = build_route_set(net)
-        mom = route_moments(net, rs, np.zeros(3), BprParams())
-        with pytest.raises(ZeroDivisionError):
-            antt(np.zeros(3), rs, mom, 0.0)
-
-
 class TestRunScenario:
     def test_single_point(self):
         sc = Scenario(solver=FAST_SOLVER)
@@ -118,21 +93,13 @@ class TestRunScenario:
         assert res.rows[0].flows.sum() == pytest.approx(500.0, rel=1e-3)
 
     def test_antt_forms_agree(self):
-        # the route form from the link means, against the independent route
-        # moments at the row's flows
+        # the solve's ANTT, against the route and link forms from the
+        # independent moments at the row's flows
         net = three_route_toy()
-        rs = build_route_set(net)
         row = run_scenario(net, Scenario(solver=FAST_SOLVER)).rows[0]
         point = net.with_uniform_theta(row.theta).with_scaled_demand(
             row.demand / net.total_demand())
-        mom = route_moments(point, rs, link_flows(rs, row.flows), BprParams())
-        assert row.antt == pytest.approx(antt(row.flows, rs, mom, row.demand), rel=1e-12)
-
-    def test_antt_cross_check_catches_broken_flow_conservation(self, monkeypatch):
-        # link flows that do not belong to the route flows split the two forms
-        monkeypatch.setattr(cmte.scenario, "link_flows", lambda rs, f: 1.1 * (rs.delta @ f))
-        with pytest.raises(RuntimeError, match="ANTT cross-check"):
-            run_scenario(three_route_toy(), Scenario(solver=FAST_SOLVER))
+        assert_antt_forms_agree(row, point, build_route_set(net), BprParams())
 
 
 class TestContinuation:
@@ -170,19 +137,22 @@ class TestContinuation:
             psi = route_costs(row.flows, point, rs, BprParams(), profile)
             at_row = SimpleNamespace(f_star=row.flows, cmtt_per_route=psi)
             assert wardrop_check(at_row, point, rs, rel_tol=1e-3).passed
-            mom = route_moments(point, rs, link_flows(rs, cold.f_star), BprParams())
-            assert row.antt == pytest.approx(antt(cold.f_star, rs, mom, self.DEMAND),
-                                             rel=1e-3)
+            assert row.antt == pytest.approx(cold.antt_history[-1], rel=1e-3)
         assert sum(r.iterations for r in warm) < cold_iterations
 
-    def test_cell_computes_link_coefficients_once(self):
-        # the cell compiles its problem once, and every ANTT cross-check
-        # reads the arrays that compile computed
-        link_coefficients.cache_clear()
-        assert len(self.cell((self.THETA,))) == len(self.LAMBDAS)
-        info = link_coefficients.cache_info()
-        assert info.misses == 1
-        assert info.hits == len(self.LAMBDAS)
+    def test_cell_computes_link_coefficients_once(self, monkeypatch):
+        # two cells: each compiles its problem once, and its rows derive nothing
+        calls = []
+        compute = cmte.bpr.link_coefficients
+
+        def counted(*args):
+            calls.append(args)
+            return compute(*args)
+
+        for module in (cmte.solver, cmte.bpr):
+            monkeypatch.setattr(module, "link_coefficients", counted)
+        assert len(self.cell((0.7, self.THETA))) == len(self.LAMBDAS)
+        assert len(calls) == 2
 
     def test_warm_rows_converge_after_the_newton_step(self):
         rows = self.cell((self.THETA,))
@@ -232,7 +202,19 @@ def fresh_chain(net, sc):
     return results, None
 
 
+def assert_antt_forms_agree(row, point, rs, p):
+    """The row's ANTT is the route form sum_k f_k mu_k / sum_od q and the
+    link form sum_a v_a E[T_a] / sum_od q at its flows, to rounding."""
+    v = link_flows(rs, row.flows)
+    route_form = row.flows @ route_moments(point, rs, v, p).mu / point.total_demand()
+    link_form = v @ link_moments_vector(point, v, p)[0] / point.total_demand()
+    assert route_form == pytest.approx(row.antt, rel=1e-12, abs=0.0)
+    assert link_form == pytest.approx(row.antt, rel=1e-12, abs=0.0)
+
+
 def assert_reuse_matches_fresh(net, sc):
+    """Each sweep solve equals the solve that compiles its own problem, and
+    each row reads its ANTT and Wardrop verdict off that solve."""
     results, rows, err = recorded_sweep(net, sc)
     fresh, fresh_err = fresh_chain(net, sc)
     assert len(results) == len(fresh)
@@ -242,6 +224,7 @@ def assert_reuse_matches_fresh(net, sc):
             assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y, f.name
     assert type(err) is type(fresh_err) and str(err) == str(fresh_err)
     if rows is not None:
+        rs = build_route_set(net)
         for row, b in zip(rows, fresh, strict=True):
             assert (row.iterations, row.converged) == (b.iterations, b.converged)
             for x, y in ((row.flows, b.f_star), (row.psi, b.cmtt_per_route),
@@ -249,6 +232,14 @@ def assert_reuse_matches_fresh(net, sc):
                          (row.antt_history, b.antt_history),
                          (row.step_history, b.step_history)):
                 assert np.array_equal(x, y)
+            point = net.with_uniform_theta(row.theta).with_scaled_demand(
+                row.demand / net.total_demand())
+            assert row.antt == b.antt_history[-1]
+            # a converged solve passes wardrop_check; a row that did not
+            # converge reads False whatever the check says
+            assert row.wardrop_ok == b.converged
+            assert wardrop_check(b, point, rs).passed or not b.converged
+            assert_antt_forms_agree(row, point, rs, sc.bpr)
     return results, err
 
 
