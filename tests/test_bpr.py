@@ -157,20 +157,34 @@ class TestRouteMoments:
             assert np.all(mom.sigma >= 0.0)
 
 
-def test_link_coefficients_follow_the_links():
-    # equal links give equal arrays and a changed capacity changes them; a
-    # demand-scaled copy keeps the very links object, which a solve given a
-    # compiled problem tests by identity first
-    net = standin_network().with_uniform_theta(0.7)
-    twin = standin_network().with_uniform_theta(0.7)
-    assert net.links is not twin.links and net.links == twin.links
-    a = link_coefficients(net.links, P)
-    for x, y in zip(a, link_coefficients(twin.links, P)):
-        assert np.array_equal(x, y)
-    changed = Network((replace(net.links[0], cap_design=900.0),) + net.links[1:],
-                      net.od_pairs)
-    assert not np.array_equal(link_coefficients(changed.links, P)[1], a[1])
-    assert net.with_scaled_demand(2.0).links is net.links
+class TestLinkCoefficientsCache:
+    # link_coefficients keeps no memo; what a cache once gave, equal arrays
+    # for equal link tuples, now follows from the links' values alone
+
+    def test_equal_link_tuples_share_arrays(self):
+        base = standin_network()
+        one, two = base.with_uniform_theta(0.8), base.with_uniform_theta(0.8)
+        assert one.links is not two.links and one.links == two.links
+        a, b = link_coefficients(one.links, P), link_coefficients(two.links, P)
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
+        c = link_coefficients(base.with_uniform_theta(0.7).links, P)
+        assert not np.array_equal(a[1], c[1])
+
+    def test_network_links_key_like_the_plain_tuple(self):
+        # a network's links are a plain tuple; a demand-scaled copy keeps the
+        # very links object, which a solve given a compiled problem tests by
+        # identity first
+        net = standin_network()
+        plain = tuple(net.links)
+        assert hash(net.links) == hash(plain) and net.links == plain
+        assert net.with_scaled_demand(2.0).links is net.links
+        a = link_coefficients(net.links, P)
+        for x, y in zip(a, link_coefficients(plain, P)):
+            assert np.array_equal(x, y)
+        changed = Network((replace(net.links[0], cap_design=900.0),) + plain[1:],
+                          net.od_pairs)
+        assert not np.array_equal(link_coefficients(changed.links, P)[1], a[1])
 
 
 # theta exactly 1 mixed with theta < 1 in one network: the vectorised
