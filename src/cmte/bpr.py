@@ -25,6 +25,7 @@ variances add, sigma = sqrt of the variance sum.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -47,11 +48,9 @@ class BprParams:
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
         if not isinstance(self.n, (int, np.integer)) or self.n < 2:
             raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
-        try:
-            _variance_polynomial(self.n)
-        except OverflowError:
+        if _variance_overflows(self.n):
             raise ValueError(f"n = {self.n} is too large: the variance polynomial's "
-                             "coefficients overflow a float") from None
+                             "coefficients overflow a float")
 
 
 @dataclass(frozen=True)
@@ -80,6 +79,9 @@ def bpr_time(link: Link, v, capacity, p: BprParams, out=None):
     return t if t.ndim else t[()]
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 @cache
 def _variance_polynomial(n: int) -> tuple[float, ...]:
     """Coefficients, highest power first, of m_2n - m_n^2 in x = 1/theta - 1.
@@ -95,6 +97,28 @@ def _variance_polynomial(n: int) -> tuple[float, ...]:
         for j, b in enumerate(m_n):
             var[i + j] -= a * b
     return tuple(float(c) for c in reversed(var))
+
+
+def _variance_overflows(n: int) -> bool:
+    """Whether a coefficient of ``_variance_polynomial(n)`` overflows a float.
+
+    Every coefficient lies between 0 and b = comb(2n, n) / (2n - 1), the
+    largest coefficient of m_2n, and for n >= 6 the one at x^(n-1) is at
+    least b / 2: what m_n^2 takes from it is at most comb(2n, n + 1) /
+    (n - 1)^2 (Vandermonde's identity).  So the exact polynomial, O(n^2)
+    in rationals, is built only when log b lies within log 2 of the
+    float limit.
+    """
+    log_b = math.lgamma(2 * n + 1) - 2 * math.lgamma(n + 1) - math.log(2 * n - 1)
+    if log_b < _LOG_FLOAT_MAX - 1e-9:
+        return False
+    if log_b - math.log(2.0) > _LOG_FLOAT_MAX + 1e-9:
+        return True
+    try:
+        _variance_polynomial(n)
+    except OverflowError:
+        return True
+    return False
 
 
 def link_coefficients(links: tuple[Link, ...], p: BprParams):

@@ -11,9 +11,9 @@ continuation: each solve starts from the route flows of the last
 converged solve before it in the series, since the equilibrium moves
 little between neighbouring lambda values, and ``extragradient_solve``
 tries a face-Newton step from there at once.  The first solve of each
-cell starts cold, from the equal split, and tries its first Newton step
-after a few extra-gradient steps (see ``cmte.solver``), so a cell's rows
-do not depend on which other cells the sweep holds.
+cell starts cold and tries its first Newton step from the equal split,
+at iteration 0 as every solve does (see ``cmte.solver``), so a cell's
+rows do not depend on which other cells the sweep holds.
 
 ANTT (average network travel time) is the demand-weighted mean route
 travel time sum_k f_k * mu_k / sum_od q.  Each row reads it, with its

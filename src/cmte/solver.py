@@ -34,8 +34,8 @@ when the natural residual meets the tolerance and every OD pair's
 relative Wardrop gap is at most GAP_TOL, the default tolerance of
 ``wardrop_check``, so a converged result passes that check.
 
-Some iterations first try a Newton step on the used-route face
-(Bertsekas, SIAM J. Control Optim. 1982): routes within
+Some iterations try a Newton step on the used-route face (Bertsekas,
+SIAM J. Control Optim. 1982): routes within
 eps = min(1e-3 q, ||u - P(u - psi)||_inf over the OD) of zero whose
 index lies above the OD minimum are held at zero, and on the others the
 KKT system [J, -L^T; L, 0][d; pi] = [-psi; 0] is solved with the
@@ -47,18 +47,20 @@ links route flows are not unique (Gabriel & Bernstein, Transp. Sci.
 along the null space of delta.  The system is therefore solved at
 minimum norm by least squares, with singular values below
 NEWTON_RCOND = 1e-12 of the largest taken as zero, so the step moves
-nothing along directions that leave psi unchanged.  The step P(u + d) replaces the iterate only if it lowers the
-natural residual.  A try takes u - P(u - psi) from its iteration, and a
-kept step's own residual vector serves the rest of the iteration, so a
-try costs the Jacobian, one KKT solve, one F evaluation and two
-projections (the step and its residual).
-A warm start (a caller's f0, such as the previous solve of a lambda
-series) tries at iteration 0.  A cold start tries first at iteration
-NEWTON_FIRST = 2, never from the equal split, where a Newton step was
-found to slow the solve.  After a kept try the next one comes at the
-next iteration; each rejected try multiplies that gap by
-NEWTON_BACKOFF = 2, so a solve where the steps fail pays for few of
-them.  The extra-gradient steps between tries are unchanged.
+nothing along directions that leave psi unchanged.  The step P(u + d)
+replaces the iterate only if it lowers the natural residual.  A try
+takes u - P(u - psi) from its iteration and costs the Jacobian, one KKT
+solve, one F evaluation and two projections (the step and its residual);
+a kept step's residual vector serves the next iteration.
+
+Every solve, from a caller's f0 (a warm start, such as the previous
+solve of a lambda series) or from the equal split (a cold start), tries
+at iteration 0.  An iteration whose try is kept ends with it: it records
+the step's residual, ANTT and tau, runs the stopping test and goes on to
+the next iteration, which tries again.  An iteration with no try, or
+whose try was rejected, takes an extra-gradient step.  Each rejected try
+multiplies the gap to the next one by NEWTON_BACKOFF = 2, so a solve
+where the steps fail pays for few of them, and a kept one resets it to 1.
 
 Each result says why the solve stopped and what it cost (F evaluations,
 backtracks, Newton steps tried and kept); a :class:`SolverError` says
@@ -68,7 +70,7 @@ why it broke down and carries the residuals recorded until then.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +86,6 @@ STEP_SHRINK = 0.5  # backtracking: tau *= STEP_SHRINK until the test holds
 STEP_GROW = 1.1    # tau *= STEP_GROW after each accepted step
 NU = 0.9           # acceptance factor of the backtracking test
 GAP_TOL = 1e-3     # largest relative Wardrop gap of a converged solve
-NEWTON_FIRST = 2    # iteration of a cold solve's first face-Newton try
 NEWTON_BACKOFF = 2  # a rejected try multiplies the gap to the next one by this
 NEWTON_RCOND = 1e-12  # singular values below this share of the largest count as 0
 
@@ -185,7 +186,11 @@ class Problem:
                     f"index not monotone on link {self.links[i].id}: mean coefficient "
                     f"{self.a_mean[i]:.6g} < {-c:.6g} * std coefficient "
                     f"{np.sqrt(self.a_var[i]):.6g} = {floor[i]:.6g}")
-        return replace(self, c=c)
+        # the shallow copy dataclasses.replace makes, without its pass
+        # through __init__ (about 7 us of the 11 this took with it)
+        prob = object.__new__(Problem)
+        prob.__dict__.update(self.__dict__, c=c)
+        return prob
 
     def link_flows(self, f: np.ndarray) -> np.ndarray:
         """Link flows delta f at route flows f (negative flows count as 0)."""
@@ -297,14 +302,15 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
 
     Starts from f0 projected onto the demand simplices (a warm start);
     without f0, from each OD's demand split equally over its routes (a
-    cold start).  Every so often an iteration first tries a Newton step
-    on the used-route face and keeps it only if it lowers the natural
-    residual (see the module docstring): a warm solve tries at iteration
-    0, a cold one at iteration NEWTON_FIRST, and the gap to the next try
-    is 1 after a kept try and multiplied by NEWTON_BACKOFF after a
-    rejected one.  Returns a result flagged ``converged=False`` (stop
-    reason "max_iter") if max_iter is exhausted; either way the last
-    entries of its histories belong to f_star.  Raises SolverError on NaN
+    cold start).  Every so often an iteration tries a Newton step on the
+    used-route face and keeps it only if it lowers the natural residual
+    (see the module docstring): every solve tries at iteration 0, a kept
+    try is its iteration's step and the next iteration tries again, and a
+    rejected one is followed by an extra-gradient step and multiplies the
+    gap to the next try by NEWTON_BACKOFF.  Returns a result flagged
+    ``converged=False`` (stop reason "max_iter") if max_iter is
+    exhausted; either way the last entries of its histories belong to
+    f_star.  Raises SolverError on NaN
     or overflow and on step-size underflow, and DomainError outside the
     model's domain.
 
@@ -323,21 +329,21 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
     total_q = prob.q.sum()
     if f0 is None:
         f0 = prob.lambda_inc.T @ (prob.q / np.maximum(prob.lambda_inc.sum(axis=1), 1.0))
-        next_try = NEWTON_FIRST
-    else:
-        next_try = 0
     u = project(np.asarray(f0, dtype=float), prob)
     Fu, mu, v, sigma = assemble_F(u, prob)
-    f_evals, backtracks, tried, kept, gap = 1, 0, 0, 0, 1
+    f_evals, backtracks, tried, kept, gap, next_try = 1, 0, 0, 0, 1, 0
     residuals, antts, steps = [], [], []
+    stepped = False
 
     for it in range(cfg.max_iter):
         # every route has a link, so a non-finite u gives a non-finite F(u)
         if not np.all(np.isfinite(Fu)):
             raise SolverError(f"non-finite iterate at iteration {it}", "non_finite",
                               np.array(residuals))
-        w = u - project(u - Fu, prob)
+        if not stepped:  # a kept try left u - P(u - F(u)) in w
+            w = u - project(u - Fu, prob)
         res = _scaled_max(w, u)
+        stepped = False
         if it == next_try:
             step = _face_newton(u, Fu, w, prob.jacobian(v, sigma), prob)
             res_step = math.inf
@@ -347,11 +353,11 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
                 res_step = _scaled_max(step[2], step[0])
             if res_step < res:  # a NaN residual fails this too
                 u, (Fu, mu, v, sigma), w = step
-                res, kept, gap = res_step, kept + 1, 1
+                res, kept, gap, stepped = res_step, kept + 1, 1, True
             else:
                 gap *= NEWTON_BACKOFF
             next_try = it + gap
-        if it == 0:  # after a warm start's try, so the step fits its F
+        if it == 0:  # after iteration 0's try, so the step fits its F
             tau = 1.0 / (1.0 + np.abs(Fu).max())
         residuals.append(res)
         antts.append(float(u @ mu / total_q) if total_q > 0 else 0.0)
@@ -361,6 +367,8 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
         converged = od_gaps is not None and od_gaps[0].max(initial=0.0) <= GAP_TOL
         if converged or it == cfg.max_iter - 1:
             break  # the histories end at f_star, converged or not
+        if stepped:
+            continue  # a kept try is this iteration's step; the next one tries again
         # backtracking: shrink tau until the Lipschitz-proxy inequality holds
         while True:
             u_bar = project(u - tau * Fu, prob)
@@ -423,14 +431,14 @@ def _face_newton(u: np.ndarray, Fu: np.ndarray, w: np.ndarray, J: np.ndarray,
     else:
         U = np.flatnonzero(free)
         J, F_U, L = J[np.ix_(U, U)], Fu[U], prob.lambda_inc[:, U]
+    if not np.isfinite(J).all():  # L is 0/1, so this is the KKT matrix's test
+        return None
     L = L[L.any(axis=1)]
     m = F_U.size
     K = np.zeros((m + len(L), m + len(L)))
     K[:m, :m] = J
     K[:m, m:] = -L.T
     K[m:, :m] = L
-    if not np.isfinite(K).all():
-        return None
     rhs = np.zeros(len(K))
     rhs[:m] = -F_U
     d = -u

@@ -1,3 +1,5 @@
+import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -6,7 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cmte.bpr import (BprParams, bpr_time, link_coefficients, link_mean,
-                      link_moments_vector, link_var, route_moments)
+                      link_moments_vector, link_var, route_moments,
+                      _variance_polynomial)
 from cmte.montecarlo import McConfig, mc_link_moments
 from cmte.network import Link, Network, ODPair, build_route_set
 from cmte.presets import standin_network
@@ -27,6 +30,24 @@ class TestParams:
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             BprParams(**{"beta": 0.15, "n": 4, **kwargs})
+
+    @pytest.mark.parametrize("n", [521, 2000, 10 ** 6])
+    def test_overflowing_n_rejected_fast(self, n):
+        # decided from a magnitude bound, not by building the exact polynomial
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"n = {n} is too large"):
+            BprParams(n=n)
+        assert time.perf_counter() - start < 0.5
+
+    def test_largest_finite_n_accepted(self):
+        assert BprParams(n=519).n == 519
+
+    @pytest.mark.parametrize("n", [6, 7, 10, 50])
+    def test_overflow_bound_brackets_the_largest_coefficient(self, n):
+        # b = comb(2n, n) / (2n - 1), with b / 2 <= the largest <= b
+        largest = max(_variance_polynomial(n))
+        b = math.comb(2 * n, n) / (2 * n - 1)
+        assert b / 2 <= largest <= b
 
 
 class TestBprTime:

@@ -22,6 +22,19 @@ def toy_net(tmp_path):
 
 
 @pytest.fixture
+def overshoot_net(tmp_path):
+    # the face-Newton try from the equal split overshoots and is rejected, so
+    # iteration 0 takes an extra-gradient step; converges in 34 iterations
+    path = tmp_path / "overshoot.net"
+    path.write_text("[links]\n"
+                    "1 1 2 1 1000 0.8\n"
+                    "2 1 2 20 10000 0.8\n"
+                    "[od]\n"
+                    "1 2 4000\n")
+    return path
+
+
+@pytest.fixture
 def standin_net(tmp_path):
     path = tmp_path / "standin.net"
     path.write_text(standin_network_text())
@@ -40,14 +53,14 @@ def test_solve_writes_outputs(toy_net, tmp_path):
     assert (out / "results.tsv").exists()
 
 
-def test_solve_nonconvergence_exit_code(toy_net):
-    assert main(["solve", "--network", str(toy_net), "--max-iter", "2"]) == 2
+def test_solve_nonconvergence_exit_code(overshoot_net):
+    assert main(["solve", "--network", str(overshoot_net), "--max-iter", "2"]) == 2
 
 
-def test_solver_breakdown_exit_code(toy_net, capsys, monkeypatch):
+def test_solver_breakdown_exit_code(overshoot_net, capsys, monkeypatch):
     # no step can pass the backtracking test with this acceptance factor
     monkeypatch.setattr("cmte.solver.NU", 1e-300)
-    assert main(["solve", "--network", str(toy_net)]) == 2
+    assert main(["solve", "--network", str(overshoot_net)]) == 2
     assert "solver error (step_underflow): step size underflow" in capsys.readouterr().err
 
 

@@ -6,7 +6,7 @@ alpha = 0.9 with the default solver.  Each row must converge, pass the
 Wardrop check and stay within 1e-3 (relative) of the stored ANTT, and
 every warm row (lambda > 0) converges in one iteration.  The cold
 lambda = 0 solves of the 49 cells stay within an iteration budget, in
-total and each.
+total and each, and within an F-evaluation budget in total.
 """
 
 import json
@@ -24,11 +24,15 @@ ROOT = Path(__file__).resolve().parent.parent
 CELLS = json.loads((ROOT / "benchmark" / "references.json").read_text())["standin"]["cells"]
 LAMBDAS = tuple(round(0.1 * i, 1) for i in range(11))
 ANTT_RTOL = 1e-3
-# the 49 cold solves take 236 iterations (at most 5 each) with minimum-norm
-# face-Newton tries, 699 (at most 149) with Levenberg-damped ones and 14,063
+# the 49 cold solves take 138 iterations (at most 3 each) and 187 F
+# evaluations when the first face-Newton try comes at iteration 0 and a kept
+# try ends its iteration; 236 iterations (at most 5) and 561 F evaluations
+# when the first try waited two extra-gradient steps and each kept try was
+# followed by one; 699 (at most 149) with Levenberg-damped tries and 14,063
 # with extra-gradient steps alone
-COLD_ITERATION_BUDGET = 300
-COLD_SOLVE_BUDGET = 20  # iterations of any one cold solve
+COLD_ITERATION_BUDGET = 152
+COLD_SOLVE_BUDGET = 4  # iterations of any one cold solve
+COLD_F_EVAL_BUDGET = 206
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +55,7 @@ def test_cell_matches_reference(standin, cell):
 
 def test_cold_solves_within_budget(standin):
     rs = build_route_set(standin)
-    total = 0
+    total = f_evals = 0
     for cell in CELLS:
         theta, demand = (float(x) for x in cell.split("/"))
         net = standin.with_uniform_theta(theta).with_scaled_demand(
@@ -60,4 +64,6 @@ def test_cold_solves_within_budget(standin):
         assert res.converged, cell
         assert res.iterations <= COLD_SOLVE_BUDGET, cell
         total += res.iterations
+        f_evals += res.f_evals
     assert total <= COLD_ITERATION_BUDGET
+    assert f_evals <= COLD_F_EVAL_BUDGET

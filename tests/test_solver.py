@@ -55,6 +55,14 @@ def grid_network(k, seed):
     return Network(tuple(links), ods)
 
 
+def overshoot_network():
+    """Two parallel links, the first cheap and narrow: the face-Newton try
+    from the equal split overshoots, does not lower the residual and is
+    rejected, so iteration 0 takes an extra-gradient step (18 iterations)."""
+    return Network((Link(1, 1, 2, 1.0, 100.0, 0.8), Link(2, 1, 2, 20.0, 1000.0, 0.8)),
+                   (ODPair(1, 2, 400.0),))
+
+
 def reference_project(u, prob):
     """``project`` as a plain loop over each OD's route indices."""
     x = np.zeros_like(u)
@@ -439,16 +447,18 @@ class TestNewtonWarmStart:
         assert (res.newton_tried, res.newton_kept) == (1, 0)
         assert np.array_equal(res.f_star, u) and res.iterations == 1
 
-    def test_cold_start_takes_no_newton_step(self):
-        # a cold solve runs the extra-gradient iteration from the equal split
+    def test_cold_start_tries_at_iteration_0(self):
+        # a cold solve tries a face-Newton step from the equal split at once
         net = standin_network()
-        rs = build_route_set(net)
+        rs, prob = compiled(net)
+        split = np.full(6, 4000.0 / 6)
         cold = extragradient_solve(net, rs, P, PROFILE, SolverConfig(max_iter=1))
-        split = extragradient_solve(net, rs, P, PROFILE, SolverConfig(max_iter=1),
-                                    f0=np.full(6, 4000.0 / 6))
-        assert np.array_equal(cold.f_star, np.full(6, 4000.0 / 6))
-        assert cold.newton_tried == 0
-        assert not np.array_equal(split.f_star, cold.f_star)
+        F, _, v, sigma = assemble_F(split, prob)
+        w = split - project(split - F, prob)
+        u_new = _face_newton(split, F, w, prob.jacobian(v, sigma), prob)[0]
+        assert (cold.newton_tried, cold.newton_kept) == (1, 1)
+        assert np.array_equal(cold.f_star, u_new)
+        assert cold.residual_history[0] < natural_residual(split, F, prob)
 
 
 class TestFaceNewtonSchedule:
@@ -480,19 +490,23 @@ class TestFaceNewtonSchedule:
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_f_evals_add_up(self, warm):
-        # one F(u0), then per iteration but the last its backtracking trials
-        # and the F(u) of its accepted step, plus one F per Newton try; both
-        # solves start from the equal split, the warm one tries there
+        # one F(u0), one F per Newton try, and per extra-gradient step its
+        # backtracking trials and the F(u) of the step; an iteration takes a
+        # step unless it is the last or its try was kept, and only a step
+        # changes tau, so the steps are the changes in the step history
         net = grid_network(3, seed=1)
         rs = build_route_set(net)
         q = np.array([od.demand for od in net.od_pairs])
         split = rs.lambda_inc.T @ (q / rs.lambda_inc.sum(axis=1))
         f0 = split if warm else None
         res = extragradient_solve(net, rs, P, PROFILE, f0=f0)
-        steps = res.iterations - 1
+        steps = np.count_nonzero(np.diff(res.step_history))
         trials = steps + res.backtracks
-        assert res.f_evals == 1 + trials + steps + res.newton_tried
-        assert res.newton_tried >= 1 and res.backtracks >= 1
+        assert res.f_evals == 1 + res.newton_tried + trials + steps
+        kept_before_last = res.iterations - 1 - steps
+        assert res.newton_kept - kept_before_last in (0, 1)
+        assert res.newton_tried > res.newton_kept >= 1
+        assert steps >= 1 and res.backtracks >= 1
 
     def test_warm_solve_tries_first(self):
         net = standin_network()
@@ -500,8 +514,28 @@ class TestFaceNewtonSchedule:
         cold = extragradient_solve(net, rs, P, PROFILE, SolverConfig(max_iter=3))
         warm = extragradient_solve(net, rs, P, PROFILE, SolverConfig(max_iter=1),
                                    f0=cold.f_star)
-        assert cold.newton_tried == 1  # at iteration 2, none from the equal split
+        assert cold.newton_tried == 3  # from the equal split on, each one kept
         assert warm.newton_tried == 1
+
+    def test_rejected_try_takes_a_step(self):
+        # the iteration of a rejected try evaluates its candidate, then the
+        # extra-gradient trial point and step, and grows tau
+        net = overshoot_network()
+        rs = build_route_set(net)
+        res = extragradient_solve(net, rs, P, PROFILE, SolverConfig(max_iter=2))
+        assert (res.newton_tried, res.newton_kept, res.backtracks) == (1, 0, 0)
+        assert res.f_evals == 1 + 1 + 2
+        assert res.step_history[1] == res.step_history[0] * 1.1
+
+    def test_kept_try_ends_its_iteration(self):
+        # every try is kept, so the next iteration tries again and no
+        # iteration evaluates a backtracking trial or takes a step
+        net = standin_network()
+        rs = build_route_set(net)
+        res = extragradient_solve(net, rs, P, PROFILE, SolverConfig(max_iter=2))
+        assert res.newton_tried == res.newton_kept == 2
+        assert res.f_evals == 1 + 2 and res.backtracks == 0
+        assert res.step_history[1] == res.step_history[0]
 
 
 class TestWarmSolveWork:
@@ -565,11 +599,12 @@ class TestSolverError:
         def poisoned(u, prob):
             calls.append(None)
             F, *rest = assemble_F(u, prob)
-            return (F * np.nan, *rest) if len(calls) == 3 else (F, *rest)
+            return (F * np.nan, *rest) if len(calls) == 4 else (F, *rest)
 
-        # the 3rd evaluation is F at the first accepted step
+        # after F(u0), the rejected Newton candidate and the trial point, the
+        # 4th evaluation is F at the first accepted step
         monkeypatch.setattr(cmte.solver, "assemble_F", poisoned)
-        net = standin_network()
+        net = overshoot_network()
         with pytest.raises(SolverError, match="iteration 1") as info:
             extragradient_solve(net, build_route_set(net), P, PROFILE)
         assert info.value.reason == "non_finite"
@@ -578,7 +613,7 @@ class TestSolverError:
     def test_step_underflow(self, monkeypatch):
         # no step can pass the backtracking test with this acceptance factor
         monkeypatch.setattr(cmte.solver, "NU", 1e-300)
-        net = standin_network()
+        net = overshoot_network()
         with pytest.raises(SolverError, match="underflow at iteration 0") as info:
             extragradient_solve(net, build_route_set(net), P, PROFILE)
         assert info.value.reason == "step_underflow"
