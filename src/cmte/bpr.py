@@ -13,7 +13,8 @@ a_var = (beta t0 / C_bar^n)^2 (m_2n - m_n^2).  The variance factor
 m_2n - m_n^2 is evaluated as a polynomial in x = (1 - theta) / theta
 whose exact rational coefficients are all >= 0, with zero constant and
 linear terms, so nothing cancels anywhere in theta in (0, 1]: theta = 1
-(x = 0) gives plain BPR and zero variance with no branch.
+(x = 0) gives plain BPR and zero variance with no branch.  n runs from 2
+to N_MAX = 519, the largest n whose coefficients fit a float.
 ``link_coefficients`` computes (t0, a_mean, a_var) for a tuple of links
 at once; every other function here, and the solver's compiled problem,
 reads its output.
@@ -25,7 +26,6 @@ variances add, sigma = sqrt of the variance sum.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -36,6 +36,12 @@ from .network import Link, Network, RouteSet
 
 __all__ = ["BprParams", "RouteMoments", "bpr_time", "link_coefficients", "link_mean",
            "link_var", "link_moments_vector", "route_moments"]
+
+# The largest exponent whose ``_variance_polynomial`` fits a float.  n = 520
+# overflows, and so does every larger n: for n >= 6 the largest coefficient
+# lies between b / 2 and b, with b = comb(2n, n) / (2n - 1), and b grows by a
+# factor 2 (2n - 1) / (n + 1), about 4, from n to n + 1.
+N_MAX = 519
 
 
 @dataclass(frozen=True)
@@ -48,7 +54,7 @@ class BprParams:
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
         if not isinstance(self.n, (int, np.integer)) or self.n < 2:
             raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
-        if _variance_overflows(self.n):
+        if self.n > N_MAX:
             raise ValueError(f"n = {self.n} is too large: the variance polynomial's "
                              "coefficients overflow a float")
 
@@ -79,9 +85,6 @@ def bpr_time(link: Link, v, capacity, p: BprParams, out=None):
     return t if t.ndim else t[()]
 
 
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-
 @cache
 def _variance_polynomial(n: int) -> tuple[float, ...]:
     """Coefficients, highest power first, of m_2n - m_n^2 in x = 1/theta - 1.
@@ -97,28 +100,6 @@ def _variance_polynomial(n: int) -> tuple[float, ...]:
         for j, b in enumerate(m_n):
             var[i + j] -= a * b
     return tuple(float(c) for c in reversed(var))
-
-
-def _variance_overflows(n: int) -> bool:
-    """Whether a coefficient of ``_variance_polynomial(n)`` overflows a float.
-
-    Every coefficient lies between 0 and b = comb(2n, n) / (2n - 1), the
-    largest coefficient of m_2n, and for n >= 6 the one at x^(n-1) is at
-    least b / 2: what m_n^2 takes from it is at most comb(2n, n + 1) /
-    (n - 1)^2 (Vandermonde's identity).  So the exact polynomial, O(n^2)
-    in rationals, is built only when log b lies within log 2 of the
-    float limit.
-    """
-    log_b = math.lgamma(2 * n + 1) - 2 * math.lgamma(n + 1) - math.log(2 * n - 1)
-    if log_b < _LOG_FLOAT_MAX - 1e-9:
-        return False
-    if log_b - math.log(2.0) > _LOG_FLOAT_MAX + 1e-9:
-        return True
-    try:
-        _variance_polynomial(n)
-    except OverflowError:
-        return True
-    return False
 
 
 def link_coefficients(links: tuple[Link, ...], p: BprParams):

@@ -20,9 +20,8 @@ from pathlib import Path
 
 from .bpr import BprParams
 from .montecarlo import RNG_ALGORITHM, McConfig, oracle_report
-from .network import (Network, NetworkParseError, NetworkValidationError,
-                      build_route_set, load_network)
-from .scenario import Scenario, ScenarioError, emit_results, fmt_float, run_scenario
+from .network import Network, build_route_set, load_network
+from .scenario import Scenario, emit_results, fmt_float, run_scenario
 from .solver import SolverError
 
 EXIT_OK = 0
@@ -137,8 +136,7 @@ def main(argv=None) -> int:
                 "verify": _cmd_verify, "routes": _cmd_routes}
     try:
         return handlers[args.command](args)
-    except (NetworkParseError, NetworkValidationError, ScenarioError,
-            ValueError) as exc:
+    except ValueError as exc:  # the network, scenario and domain errors subclass it
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

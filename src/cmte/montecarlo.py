@@ -57,6 +57,10 @@ CI_MULTIPLIER = 3.0  # a claim passes within this many standard errors
 # measured on have two cores.
 MC_THREADS = 2
 
+THETAS = (0.6, 0.8)
+FLOW_FRACS = (0.5, 1.0, 1.5)
+TAIL_CASES = ((20.0, 3.0, 0.9), (15.0, 5.0, 0.8), (30.0, 1.0, 0.95))
+
 _thread = threading.local()  # ``buffer``: a pool thread's sample buffer
 
 
@@ -169,17 +173,15 @@ def mc_tail_means(mu: float, sigma: float, alpha: float, cfg: McConfig) -> McTai
                    excess_se=math.sqrt(excess_var / (n - m)))
 
 
-def oracle_report(net: Network, p: BprParams, cfg: McConfig,
-                  thetas=(0.6, 0.8), flow_fracs=(0.5, 1.0, 1.5),
-                  tail_cases=((20.0, 3.0, 0.9), (15.0, 5.0, 0.8), (30.0, 1.0, 0.95))):
+def oracle_report(net: Network, p: BprParams, cfg: McConfig):
     """Run every closed-form-vs-sampling comparison and tabulate the outcome.
 
     Returns (rows, all_pass) where each row is
     (claim id, closed-form value, estimate, standard error, "pass"/"fail").
-    Link claims cover each network link at the given flow fractions of
-    design capacity and degradation degrees; tail claims cover the
-    mean-below / mean-excess formulas at the given (mu, sigma, alpha)
-    triples.
+    Link claims cover each network link at the degradation degrees THETAS
+    and the flow fractions FLOW_FRACS of design capacity; tail claims
+    cover the mean-below / mean-excess formulas at the (mu, sigma, alpha)
+    triples TAIL_CASES.
 
     The estimates take seeds cfg.seed, cfg.seed + 1, ... in that order,
     link estimates first, and run on MC_THREADS pool threads.  Each
@@ -194,9 +196,9 @@ def oracle_report(net: Network, p: BprParams, cfg: McConfig,
     """
     links = [(replace(link, theta=theta), frac * link.cap_design,
               f"link{link.id}_theta{theta:g}_v{frac:g}C")
-             for link in net.links for theta in thetas for frac in flow_fracs]
+             for link in net.links for theta in THETAS for frac in FLOW_FRACS]
     calls = ([(mc_link_moments, lk, v, p) for lk, v, _ in links]
-             + [(mc_tail_means, mu, sigma, a) for mu, sigma, a in tail_cases])
+             + [(mc_tail_means, mu, sigma, a) for mu, sigma, a in TAIL_CASES])
     estimates = iter(_run_estimates(calls, cfg))
 
     rows = []
@@ -212,7 +214,7 @@ def oracle_report(net: Network, p: BprParams, cfg: McConfig,
         add(f"mean_{tag}", float(bpr.link_mean(lk, v, p)), est.mean, est.mean_se)
         add(f"var_{tag}", float(bpr.link_var(lk, v, p)), est.var, est.var_se)
 
-    for (mu, sigma, a), est in zip(tail_cases, estimates):
+    for (mu, sigma, a), est in zip(TAIL_CASES, estimates):
         tag = f"mu{mu:g}_sigma{sigma:g}_alpha{a:g}"
         add(f"mbtt_{tag}", float(indices.mbtt(mu, sigma, a)), est.below_mean, est.below_se)
         add(f"mett_{tag}", float(indices.mett(mu, sigma, a)), est.excess_mean, est.excess_se)

@@ -23,7 +23,9 @@ Networks are parsed from a small line-oriented text format::
     1 3 7 11 13
 
 Fields are whitespace- or comma-separated; ``#`` starts a comment.
-When a ``[routes]`` section is present it overrides enumeration.
+When a ``[routes]`` section is present it overrides enumeration.  Each
+row lists one or more contiguous links of ``[links]`` that visit no node
+twice, and serves the first OD pair whose end nodes are the route's.
 """
 
 from __future__ import annotations
@@ -249,10 +251,11 @@ def load_network(text: str) -> Network:
 def enumerate_routes(net: Network) -> RouteSet:
     """Enumerate simple directed paths per OD pair.
 
-    Depth-first search over simple paths, ranked by free-flow time with
-    the link-id sequence as tie-break, and truncated to MAX_ROUTES_PER_OD
-    (read at call time).  Deterministic: the same network always yields
-    the same RouteSet.
+    Depth-first search from the origin to unvisited nodes, so each route
+    is a simple path to the destination by construction, ranked by
+    free-flow time with the link-id sequence as tie-break, and truncated
+    to MAX_ROUTES_PER_OD (read at call time).  Deterministic: the same
+    network always yields the same RouteSet.
     """
     out: dict[int, list[Link]] = {}
     for l in net.links:
@@ -286,19 +289,27 @@ def build_route_set(net: Network) -> RouteSet:
     """RouteSet from the network's explicit routes if present, else enumeration;
     NetworkValidationError if an OD pair with positive demand gets no route."""
     if net.preset_routes:
-        routes = [Route(_od_of_sequence(net, seq), seq) for seq in net.preset_routes]
-        return _assemble_route_set(net, routes)
+        return _assemble_route_set(net, [_explicit_route(net, seq)
+                                         for seq in net.preset_routes])
     return enumerate_routes(net)
 
 
-def _od_of_sequence(net: Network, seq: tuple[int, ...]) -> int:
-    origin = net.link_by_id(seq[0]).tail
-    dest = net.link_by_id(seq[-1]).head
-    for i, od in enumerate(net.od_pairs):
-        if od.origin == origin and od.destination == dest:
-            return i
-    raise NetworkValidationError(
-        f"explicit route {seq} connects {origin}->{dest}, not a listed OD pair")
+def _explicit_route(net: Network, seq: tuple[int, ...]) -> Route:
+    """The route of an explicit link-id sequence; NetworkValidationError unless
+    its end nodes name an OD pair, its links are contiguous and no node repeats."""
+    links = [net.link_by_id(lid) for lid in seq]
+    origin, dest = links[0].tail, links[-1].head
+    od_index = next((i for i, od in enumerate(net.od_pairs)
+                     if od.origin == origin and od.destination == dest), None)
+    if od_index is None:
+        raise NetworkValidationError(
+            f"explicit route {seq} connects {origin}->{dest}, not a listed OD pair")
+    if any(prev.head != nxt.tail for prev, nxt in zip(links, links[1:])):
+        raise NetworkValidationError(f"route {seq} is not contiguous")
+    nodes = [origin] + [l.head for l in links]
+    if len(set(nodes)) != len(nodes):
+        raise NetworkValidationError(f"route {seq} repeats a node")
+    return Route(od_index, seq)
 
 
 def _assemble_route_set(net: Network, routes: list[Route]) -> RouteSet:
@@ -307,7 +318,6 @@ def _assemble_route_set(net: Network, routes: list[Route]) -> RouteSet:
     delta = np.zeros((net.n_links, m))
     lam = np.zeros((len(net.od_pairs), m))
     for k, r in enumerate(routes):
-        _validate_path(net, r)
         for lid in r.link_ids:
             delta[row[lid], k] = 1.0
         lam[r.od_index, k] = 1.0
@@ -316,20 +326,6 @@ def _assemble_route_set(net: Network, routes: list[Route]) -> RouteSet:
             raise NetworkValidationError(
                 f"OD {od.origin}->{od.destination} has demand {od.demand} but no route")
     return RouteSet(tuple(routes), delta, lam)
-
-
-def _validate_path(net: Network, r: Route) -> None:
-    od = net.od_pairs[r.od_index]
-    seq = [net.link_by_id(lid) for lid in r.link_ids]
-    if seq[0].tail != od.origin or seq[-1].head != od.destination:
-        raise NetworkValidationError(f"route {r.link_ids} does not connect its OD pair")
-    nodes = [seq[0].tail]
-    for prev, nxt in zip(seq, seq[1:]):
-        if prev.head != nxt.tail:
-            raise NetworkValidationError(f"route {r.link_ids} is not contiguous")
-    nodes += [l.head for l in seq]
-    if len(set(nodes)) != len(nodes):
-        raise NetworkValidationError(f"route {r.link_ids} repeats a node")
 
 
 # ---------------------------------------------------------------------------

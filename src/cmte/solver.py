@@ -159,9 +159,9 @@ class Problem:
     q: np.ndarray           # (w,) OD demands
     c: float                # risk coefficient: psi = mu + c * sigma
     od_routes: tuple[np.ndarray, ...]  # route indices of each OD pair
-    # per OD pair with positive demand: its routes (a slice when they are
-    # contiguous), its demand and the ranks 1..size, for ``project``
-    od_blocks: tuple[tuple[slice | np.ndarray, float, np.ndarray], ...]
+    # per OD pair with positive demand: its route indices, its demand and the
+    # ranks 1..size, for ``project``
+    od_blocks: tuple[tuple[np.ndarray, float, np.ndarray], ...]
     links: tuple[Link, ...]  # the network's links, named in DomainError
     bpr: BprParams           # the BPR form the coefficients were computed under
 
@@ -216,13 +216,8 @@ class Problem:
 
 
 def _od_blocks(od_routes: tuple[np.ndarray, ...], q: np.ndarray) -> tuple:
-    blocks = []
-    for ks, demand in zip(od_routes, q):
-        if demand > 0:
-            contiguous = ks[-1] - ks[0] + 1 == ks.size
-            blocks.append((slice(ks[0], ks[-1] + 1) if contiguous else ks, demand,
-                           np.arange(1, ks.size + 1)))
-    return tuple(blocks)
+    return tuple((ks, demand, np.arange(1, ks.size + 1))
+                 for ks, demand in zip(od_routes, q) if demand > 0)
 
 
 def compile_problem(net: Network, rs: RouteSet, p: BprParams) -> Problem:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cmte.bpr import (BprParams, bpr_time, link_coefficients, link_mean,
+from cmte.bpr import (N_MAX, BprParams, bpr_time, link_coefficients, link_mean,
                       link_moments_vector, link_var, route_moments,
                       _variance_polynomial)
 from cmte.montecarlo import McConfig, mc_link_moments
@@ -31,9 +31,9 @@ class TestParams:
         with pytest.raises(ValueError):
             BprParams(**{"beta": 0.15, "n": 4, **kwargs})
 
-    @pytest.mark.parametrize("n", [521, 2000, 10 ** 6])
+    @pytest.mark.parametrize("n", [520, 521, 2000, 10 ** 6])
     def test_overflowing_n_rejected_fast(self, n):
-        # decided from a magnitude bound, not by building the exact polynomial
+        # decided against N_MAX, not by building the exact polynomial
         start = time.perf_counter()
         with pytest.raises(ValueError, match=f"n = {n} is too large"):
             BprParams(n=n)
@@ -41,6 +41,11 @@ class TestParams:
 
     def test_largest_finite_n_accepted(self):
         assert BprParams(n=519).n == 519
+
+    def test_n_max_is_the_largest_n_whose_polynomial_fits_a_float(self):
+        assert all(math.isfinite(c) for c in _variance_polynomial(N_MAX))
+        with pytest.raises(OverflowError):
+            _variance_polynomial(N_MAX + 1)
 
     @pytest.mark.parametrize("n", [6, 7, 10, 50])
     def test_overflow_bound_brackets_the_largest_coefficient(self, n):

@@ -168,6 +168,20 @@ def test_route_with_missing_link_exit_code(tmp_path, capsys):
     assert "names link 7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("links, od, routes, reason", [
+    ("1 1 2\n2 2 3\n3 3 4\n", "1 4", "1 2 3\n1 3\n", "route (1, 3) is not contiguous"),
+    ("1 1 2\n2 2 1\n3 1 3\n", "1 3", "3\n1 2 3\n", "route (1, 2, 3) repeats a node"),
+    ("1 1 2\n2 2 3\n", "1 3", "1 2\n1\n",
+     "explicit route (1,) connects 1->2, not a listed OD pair"),
+], ids=["gap", "repeated_node", "unlisted_end_nodes"])
+def test_bad_explicit_route_exit_code(tmp_path, capsys, links, od, routes, reason):
+    net = tmp_path / "bad_route.net"
+    rows = "".join(f"{row} 10 1000 0.8\n" for row in links.splitlines())
+    net.write_text(f"[links]\n{rows}[od]\n{od} 500\n[routes]\n{routes}")
+    assert main(["solve", "--network", str(net)]) == 1
+    assert capsys.readouterr().err == f"config error: {reason}\n"
+
+
 def test_od_to_itself_exit_code(tmp_path, capsys):
     net = tmp_path / "loop_od.net"
     net.write_text("[links]\n1 1 2 10 1000 0.8\n[od]\n1 1 100\n")

@@ -1,4 +1,3 @@
-import inspect
 import math
 import re
 import sys
@@ -18,7 +17,6 @@ from cmte.network import Link
 from cmte.presets import standin_network, three_route_toy
 
 P = BprParams()
-TAIL_CASES = inspect.signature(oracle_report).parameters["tail_cases"].default
 
 
 def make_link(theta=0.8):
@@ -173,7 +171,7 @@ class TestTailMeans:
             ratio = se / plain
             assert 1 - 1e-6 <= ratio <= math.sqrt(1 + 1 / (k - 1)) * (1 + 1e-6)
 
-    @pytest.mark.parametrize("mu, sigma, alpha", TAIL_CASES)
+    @pytest.mark.parametrize("mu, sigma, alpha", montecarlo.TAIL_CASES)
     def test_standard_errors_cover(self, mu, sigma, alpha):
         # over independent streams the errors measured in standard errors
         # spread with standard deviation 1; leaving out that the split is
@@ -192,9 +190,9 @@ class TestTailMeans:
         assert a == b
 
 
-def one_by_one_report(net, p, cfg, thetas=(0.6, 0.8), flow_fracs=(0.5, 1.0, 1.5),
-                      tail_cases=TAIL_CASES):
-    """The report's rows from each estimator called in turn in this thread."""
+def one_by_one_report(net, p, cfg):
+    """The report's rows from each estimator called in turn in this thread,
+    over the claims that THETAS, FLOW_FRACS and TAIL_CASES name at call time."""
     rows, seed = [], cfg.seed
 
     def add(claim, closed, estimate, se):
@@ -202,16 +200,16 @@ def one_by_one_report(net, p, cfg, thetas=(0.6, 0.8), flow_fracs=(0.5, 1.0, 1.5)
         rows.append((claim, closed, estimate, se, "pass" if ok else "fail"))
 
     for link in net.links:
-        for theta in thetas:
+        for theta in montecarlo.THETAS:
             lk = replace(link, theta=theta)
-            for frac in flow_fracs:
+            for frac in montecarlo.FLOW_FRACS:
                 v = frac * link.cap_design
                 est = mc_link_moments(lk, v, p, McConfig(cfg.samples, seed))
                 seed += 1
                 tag = f"link{link.id}_theta{theta:g}_v{frac:g}C"
                 add(f"mean_{tag}", float(bpr.link_mean(lk, v, p)), est.mean, est.mean_se)
                 add(f"var_{tag}", float(bpr.link_var(lk, v, p)), est.var, est.var_se)
-    for mu, sigma, a in tail_cases:
+    for mu, sigma, a in montecarlo.TAIL_CASES:
         est = mc_tail_means(mu, sigma, a, McConfig(cfg.samples, seed))
         seed += 1
         tag = f"mu{mu:g}_sigma{sigma:g}_alpha{a:g}"
@@ -221,11 +219,12 @@ def one_by_one_report(net, p, cfg, thetas=(0.6, 0.8), flow_fracs=(0.5, 1.0, 1.5)
 
 
 class TestOracleReport:
-    def test_small_run_passes(self):
+    def test_small_run_passes(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "THETAS", (0.8,))
+        monkeypatch.setattr(montecarlo, "FLOW_FRACS", (1.0,))
+        monkeypatch.setattr(montecarlo, "TAIL_CASES", ((20.0, 3.0, 0.9),))
         net = three_route_toy()
-        rows, ok = oracle_report(net, P, McConfig(samples=10 ** 5, seed=3),
-                                 thetas=(0.8,), flow_fracs=(1.0,),
-                                 tail_cases=((20.0, 3.0, 0.9),))
+        rows, ok = oracle_report(net, P, McConfig(samples=10 ** 5, seed=3))
         assert ok
         # mean+var per link per theta per flow, plus two tail claims
         assert len(rows) == 3 * 2 + 2
@@ -296,16 +295,17 @@ class TestOracleReport:
             sys.setswitchinterval(interval)
         assert rows == [one_by_one_report(net, P, cfg)] * 5
 
-    def test_failing_estimate_raises_as_one_by_one(self):
+    def test_failing_estimate_raises_as_one_by_one(self, monkeypatch):
         net, cfg = three_route_toy(), McConfig(samples=10 ** 4, seed=0)
-        cases = ((20.0, 3.0, 0.9), (20.0, 3.0, 1.5), (15.0, 5.0, 2.0))
+        monkeypatch.setattr(montecarlo, "TAIL_CASES",
+                            ((20.0, 3.0, 0.9), (20.0, 3.0, 1.5), (15.0, 5.0, 2.0)))
         with pytest.raises(ValueError) as expected:
-            one_by_one_report(net, P, cfg, tail_cases=cases)
+            one_by_one_report(net, P, cfg)
         threads, raised = threading.active_count(), []
 
         def report():
             try:
-                oracle_report(net, P, cfg, tail_cases=cases)
+                oracle_report(net, P, cfg)
             except ValueError as exc:
                 raised.append(exc)
 

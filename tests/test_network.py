@@ -93,7 +93,39 @@ class TestLoadNetwork:
         assert [r.link_ids for r in rs.routes] == [(1, 4, 9, 12, 13), (2, 6, 10, 12, 13)]
 
 
+@st.composite
+def small_networks(draw):
+    """A multigraph on at most 5 nodes and OD pairs drawn among its connected
+    node pairs, one of them sometimes listed twice."""
+    n_nodes = draw(st.integers(2, 5))
+    node = st.integers(1, n_nodes)
+    arcs = draw(st.lists(st.tuples(node, node).filter(lambda a: a[0] != a[1]),
+                         min_size=1, max_size=10))
+    links = tuple(Link(i, t, h, draw(st.floats(1.0, 20.0)), 1000.0, 0.8)
+                  for i, (t, h) in enumerate(arcs, start=1))
+    reach = set(arcs)
+    for k in range(1, n_nodes + 1):  # transitive closure (Warshall)
+        reach |= {(i, j) for i, a in reach if a == k for b, j in reach if b == k}
+    pairs = sorted((o, d) for o, d in reach if o != d)
+    ods = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3))
+    ods += ods[:draw(st.integers(0, 1))]
+    return Network(links, tuple(ODPair(o, d, 100.0) for o, d in ods))
+
+
 class TestEnumerateRoutes:
+    @given(small_networks())
+    def test_every_route_is_a_simple_path_of_its_od_pair(self, net):
+        # what build_route_set relies on instead of checking each route again
+        rs = enumerate_routes(net)
+        assert {r.od_index for r in rs.routes} == set(range(len(net.od_pairs)))
+        for r in rs.routes:
+            od = net.od_pairs[r.od_index]
+            links = [net.link_by_id(lid) for lid in r.link_ids]
+            assert links[0].tail == od.origin and links[-1].head == od.destination
+            assert all(a.head == b.tail for a, b in zip(links, links[1:]))
+            nodes = [od.origin] + [l.head for l in links]
+            assert len(set(nodes)) == len(nodes)
+
     def test_parallel_links(self):
         net = parallel_links_network(n_links=2)
         rs = enumerate_routes(net)
