@@ -25,7 +25,10 @@ Networks are parsed from a small line-oriented text format::
 Fields are whitespace- or comma-separated; ``#`` starts a comment.
 When a ``[routes]`` section is present it overrides enumeration.  Each
 row lists one or more contiguous links of ``[links]`` that visit no node
-twice, and serves the first OD pair whose end nodes are the route's.
+twice, and serves every OD pair whose end nodes are the route's: an OD
+pair listed twice gets a copy of it for each listing, as enumeration
+gives each listing its own routes.  Routes are ordered by OD pair, then
+by row, as enumeration orders them by OD pair.
 """
 
 from __future__ import annotations
@@ -287,21 +290,27 @@ def enumerate_routes(net: Network) -> RouteSet:
 
 def build_route_set(net: Network) -> RouteSet:
     """RouteSet from the network's explicit routes if present, else enumeration;
-    NetworkValidationError if an OD pair with positive demand gets no route."""
+    NetworkValidationError if an OD pair with positive demand gets no route.
+
+    Each OD pair listed, even twice, gets its own copy of every explicit
+    route with its end nodes, in row order, as enumeration gives it its own
+    routes; so rows equal to the enumerated routes give the same RouteSet."""
     if net.preset_routes:
-        return _assemble_route_set(net, [_explicit_route(net, seq)
-                                         for seq in net.preset_routes])
+        ends = [_explicit_route_ends(net, seq) for seq in net.preset_routes]
+        return _assemble_route_set(net, [
+            Route(oi, seq) for oi, od in enumerate(net.od_pairs)
+            for seq, end in zip(net.preset_routes, ends)
+            if end == (od.origin, od.destination)])
     return enumerate_routes(net)
 
 
-def _explicit_route(net: Network, seq: tuple[int, ...]) -> Route:
-    """The route of an explicit link-id sequence; NetworkValidationError unless
-    its end nodes name an OD pair, its links are contiguous and no node repeats."""
+def _explicit_route_ends(net: Network, seq: tuple[int, ...]) -> tuple[int, int]:
+    """The end nodes of an explicit link-id sequence; NetworkValidationError
+    unless they are a listed OD pair's, its links are contiguous and no node
+    repeats."""
     links = [net.link_by_id(lid) for lid in seq]
     origin, dest = links[0].tail, links[-1].head
-    od_index = next((i for i, od in enumerate(net.od_pairs)
-                     if od.origin == origin and od.destination == dest), None)
-    if od_index is None:
+    if not any(od.origin == origin and od.destination == dest for od in net.od_pairs):
         raise NetworkValidationError(
             f"explicit route {seq} connects {origin}->{dest}, not a listed OD pair")
     if any(prev.head != nxt.tail for prev, nxt in zip(links, links[1:])):
@@ -309,7 +318,7 @@ def _explicit_route(net: Network, seq: tuple[int, ...]) -> Route:
     nodes = [origin] + [l.head for l in links]
     if len(set(nodes)) != len(nodes):
         raise NetworkValidationError(f"route {seq} repeats a node")
-    return Route(od_index, seq)
+    return origin, dest
 
 
 def _assemble_route_set(net: Network, routes: list[Route]) -> RouteSet:

@@ -7,13 +7,18 @@ solves the equilibrium at every grid point and collects one
 per-solve convergence logs and plot-ready ANTT-vs-lambda series.
 
 Within one (Theta, Q) cell the lambda series is solved as a
-continuation: each solve starts from the route flows of the last
-converged solve before it in the series, since the equilibrium moves
-little between neighbouring lambda values, and ``extragradient_solve``
-tries a face-Newton step from there at once.  The first solve of each
-cell starts cold and tries its first Newton step from the equal split,
-at iteration 0 as every solve does (see ``cmte.solver``), so a cell's
-rows do not depend on which other cells the sweep holds.
+continuation with a secant predictor (Allgower & Georg, Introduction to
+Numerical Continuation Methods, SIAM 2003).  With (lam_a, f_a) and
+(lam_b, f_b) the cell's last two converged solves, a solve at lam
+starts from f_b + r (f_b - f_a), r = (lam - lam_b) / (lam_b - lam_a),
+when 0 < r <= 1: never a step back, a repeated lambda or more than one
+step ahead (r may exceed 1 by SECANT_SLACK, as lambda differences
+round).  Otherwise it starts from f_b, the last converged flows, and
+the cell's first solve starts cold.  ``extragradient_solve`` projects
+the start onto the demand simplices, returns it if it already meets
+the stopping test with a margin, and otherwise tries a face-Newton step
+from it at once (see ``cmte.solver``).  A cell's rows do not depend on
+which other cells the sweep holds.
 
 ANTT (average network travel time) is the demand-weighted mean route
 travel time sum_k f_k * mu_k / sum_od q.  Each row reads it, with its
@@ -46,6 +51,10 @@ from .solver import SolverConfig, compile_problem, extragradient_solve
 from .bpr import link_moments_vector, route_moments  # noqa: F401
 from .network import link_flows  # noqa: F401
 from .solver import wardrop_check  # noqa: F401
+
+# a secant start extrapolates at most one step, r <= 1 + SECANT_SLACK, where
+# the slack admits rounding: (0.4 - 0.3) / (0.3 - 0.2) reads 1 + 7e-16
+SECANT_SLACK = 1e-9
 
 __all__ = ["Scenario", "SweepRow", "SweepResult", "ScenarioError",
            "run_scenario", "emit_results", "fmt_float"]
@@ -148,8 +157,9 @@ def run_scenario(net: Network, sc: Scenario) -> SweepResult:
 
     For each point the base network gets a uniform theta and its OD
     demands scaled so they total the grid demand.  Along each cell's
-    lambda series a solve is warm-started from the last converged flows
-    (see the module docstring).  A row's ANTT and wardrop_ok are its
+    lambda series a solve is warm-started on the secant through the last
+    two converged solves, or from the last converged flows (see the
+    module docstring).  A row's ANTT and wardrop_ok are its
     solve's (see the module docstring).  Failed solves are recorded with
     converged=False, never dropped.
     """
@@ -162,13 +172,14 @@ def run_scenario(net: Network, sc: Scenario) -> SweepResult:
         for q in sc.demand_grid:
             point_net = net.with_uniform_theta(theta).with_scaled_demand(q / base_q)
             prob = compile_problem(point_net, rs, sc.bpr)
-            f0 = None
+            path = []  # (lambda, flows) of the cell's last two converged solves
             for lam in sc.lambda_grid:
                 profile = RiskProfile(sc.alpha, lam)
                 res = extragradient_solve(point_net, rs, sc.bpr, profile, sc.solver,
-                                          f0=f0, kind=IndexKind.CMTT, problem=prob)
+                                          f0=_secant_start(path, lam),
+                                          kind=IndexKind.CMTT, problem=prob)
                 if res.converged:
-                    f0 = res.f_star
+                    path = path[-1:] + [(lam, res.f_star)]
                 rows.append(SweepRow(
                     lam=lam, demand=q, theta=theta,
                     antt=float(res.antt_history[-1]),
@@ -180,6 +191,23 @@ def run_scenario(net: Network, sc: Scenario) -> SweepResult:
                     antt_history=res.antt_history,
                     step_history=res.step_history))
     return SweepResult(tuple(rows))
+
+
+def _secant_start(path: list[tuple[float, np.ndarray]], lam: float
+                  ) -> np.ndarray | None:
+    """The start of a cell's solve at lam, given the (lambda, flows) of the
+    cell's last two converged solves (fewer before it has two): the secant
+    through them when lam lies at most one of their steps beyond the last,
+    the last flows otherwise, and None (a cold start) before the first."""
+    if not path:
+        return None
+    lam_b, f_b = path[-1]
+    if len(path) == 2 and path[0][0] != lam_b:
+        lam_a, f_a = path[0]
+        r = (lam - lam_b) / (lam_b - lam_a)
+        if 0.0 < r <= 1.0 + SECANT_SLACK:
+            return f_b + r * (f_b - f_a)
+    return f_b
 
 
 def emit_results(res: SweepResult, dest: str | Path) -> list[Path]:

@@ -16,10 +16,11 @@ the multiplier of its demand constraint, is read off the final flows
 
 A solve reads its inputs as one :class:`Problem` (link coefficients
 from ``bpr.link_coefficients``, delta, Lambda, Q, the risk coefficient
-c, each OD pair's routes), which ``compile_problem`` builds.  Only c
-depends on the risk profile: ``Problem.with_risk`` sets it, so a caller
-that solves one network under many profiles, such as a sweep cell's
-lambda series, compiles once and hands the problem to each solve
+c, each OD pair's routes, the KKT matrix of a face-Newton step on all
+routes), which ``compile_problem`` builds.  Only c depends on the risk
+profile: ``Problem.with_risk`` sets it, so a caller that solves one
+network under many profiles, such as a sweep cell's lambda series,
+compiles once and hands the problem to each solve
 (``extragradient_solve(..., problem=)``); without one, a solve compiles
 its own.  Setting c rejects points where the index could fall as flow
 rises (:class:`DomainError`), and compiling rejects link coefficients
@@ -40,7 +41,9 @@ eps = min(1e-3 q, ||u - P(u - psi)||_inf over the OD) of zero whose
 index lies above the OD minimum are held at zero, and on the others the
 KKT system [J, -L^T; L, 0][d; pi] = [-psi; 0] is solved with the
 analytic Jacobian ``Problem.jacobian``, built from the link flows and
-route deviations that F's evaluation at u (``assemble_F``) computed.
+route deviations that F's evaluation at u (``assemble_F``) computed;
+when no route is held, the compiled KKT matrix is copied and J written
+into it.
 Route costs are not additive (sigma is not), and where routes share
 links route flows are not unique (Gabriel & Bernstein, Transp. Sci.
 1997): psi depends on f only through the link flows, so J is singular
@@ -53,11 +56,20 @@ takes u - P(u - psi) from its iteration and costs the Jacobian, one KKT
 solve, one F evaluation and two projections (the step and its residual);
 a kept step's residual vector serves the next iteration.
 
-Every solve, from a caller's f0 (a warm start, such as the previous
-solve of a lambda series) or from the equal split (a cold start), tries
-at iteration 0.  An iteration whose try is kept ends with it: it records
-the step's residual, ANTT and tau, runs the stopping test and goes on to
-the next iteration, which tries again.  An iteration with no try, or
+A solve starts from a caller's f0 (a warm start, such as a prediction
+from the earlier solves of a lambda series) or from the equal split (a
+cold start).  Iteration 0 first checks the start against the stopping
+test with a margin: a start whose residual is at most
+tol / START_MARGIN and whose every OD gap is at most
+GAP_TOL / START_MARGIN (START_MARGIN = 10) is final, so the solve makes
+no try, records it and stops, having evaluated F once and projected
+twice.  The margin keeps a lambda series smooth: on the stand-in most
+ANTT steps between neighbouring lambda values are below 1e-5 relative,
+so stopping at starts that only just met the test would turn some of
+them the wrong way.  Every other solve tries at iteration 0.  An
+iteration whose try is kept ends with it: it records the step's
+residual, ANTT and tau, runs the stopping test and goes on to the next
+iteration, which tries again.  An iteration with no try, or
 whose try was rejected, takes an extra-gradient step.  Each rejected try
 multiplies the gap to the next one by NEWTON_BACKOFF = 2, so a solve
 where the steps fail pays for few of them, and a kept one resets it to 1.
@@ -88,6 +100,7 @@ NU = 0.9           # acceptance factor of the backtracking test
 GAP_TOL = 1e-3     # largest relative Wardrop gap of a converged solve
 NEWTON_BACKOFF = 2  # a rejected try multiplies the gap to the next one by this
 NEWTON_RCOND = 1e-12  # singular values below this share of the largest count as 0
+START_MARGIN = 10   # a start meeting the stopping test this many times over is final
 
 
 class SolverError(RuntimeError):
@@ -154,14 +167,18 @@ class Problem:
     a_mean: np.ndarray      # (|A|,) E[T_a] = t0 + a_mean * v^n
     a_var: np.ndarray       # (|A|,) Var[T_a] = a_var * v^(2n)
     n: int
+    n_a_mean: np.ndarray    # n * a_mean and n * a_var, for ``jacobian``
+    n_a_var: np.ndarray
     delta: np.ndarray       # (|A|, m) link-route incidence
     lambda_inc: np.ndarray  # (w, m) OD-route incidence
     q: np.ndarray           # (w,) OD demands
+    total_q: float          # their sum
     c: float                # risk coefficient: psi = mu + c * sigma
     od_routes: tuple[np.ndarray, ...]  # route indices of each OD pair
     # per OD pair with positive demand: its route indices, its demand and the
     # ranks 1..size, for ``project``
     od_blocks: tuple[tuple[np.ndarray, float, np.ndarray], ...]
+    kkt: np.ndarray         # the whole face's KKT matrix with its J block 0
     links: tuple[Link, ...]  # the network's links, named in DomainError
     bpr: BprParams           # the BPR form the coefficients were computed under
 
@@ -209,8 +226,8 @@ class Problem:
         delta^T diag(n a_var v^(2n-1)) delta, whose row k is divided by
         sigma_k (rows with sigma_k = 0 read 0)."""
         n, delta = self.n, self.delta
-        j_mu = delta.T @ ((n * self.a_mean * v ** (n - 1))[:, None] * delta)
-        j_var = delta.T @ ((n * self.a_var * v ** (2 * n - 1))[:, None] * delta)
+        j_mu = delta.T @ ((self.n_a_mean * v ** (n - 1))[:, None] * delta)
+        j_var = delta.T @ ((self.n_a_var * v ** (2 * n - 1))[:, None] * delta)
         inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0.0)
         return j_mu + self.c * inv[:, None] * j_var
 
@@ -218,6 +235,17 @@ class Problem:
 def _od_blocks(od_routes: tuple[np.ndarray, ...], q: np.ndarray) -> tuple:
     return tuple((ks, demand, np.arange(1, ks.size + 1))
                  for ks, demand in zip(od_routes, q) if demand > 0)
+
+
+def _kkt(L: np.ndarray) -> np.ndarray:
+    """[0, -L^T; L, 0] over the rows of L that hold a route: the face-Newton
+    KKT matrix of a face whose OD-route incidence is L, J block left 0."""
+    L = L[L.any(axis=1)]
+    m = L.shape[1]
+    K = np.zeros((m + len(L), m + len(L)))
+    K[:m, m:] = -L.T
+    K[m:, :m] = L
+    return K
 
 
 def compile_problem(net: Network, rs: RouteSet, p: BprParams) -> Problem:
@@ -236,9 +264,11 @@ def compile_problem(net: Network, rs: RouteSet, p: BprParams) -> Problem:
             f"moment coefficients of link {net.links[i].id} are not finite: t0 "
             f"{t0[i]:.6g}, mean {a_mean[i]:.6g}, variance {a_var[i]:.6g}")
     q = np.array([od.demand for od in net.od_pairs], dtype=float)
-    return Problem(t0=t0, a_mean=a_mean, a_var=a_var, n=p.n, delta=rs.delta,
-                   lambda_inc=rs.lambda_inc, q=q, c=0.0, od_routes=rs.od_routes,
-                   od_blocks=_od_blocks(rs.od_routes, q), links=net.links, bpr=p)
+    return Problem(t0=t0, a_mean=a_mean, a_var=a_var, n=p.n, n_a_mean=p.n * a_mean,
+                   n_a_var=p.n * a_var, delta=rs.delta, lambda_inc=rs.lambda_inc, q=q,
+                   total_q=q.sum(), c=0.0, od_routes=rs.od_routes,
+                   od_blocks=_od_blocks(rs.od_routes, q), kkt=_kkt(rs.lambda_inc),
+                   links=net.links, bpr=p)
 
 
 def route_costs(f: np.ndarray, net: Network, rs: RouteSet, p: BprParams,
@@ -272,13 +302,15 @@ def project(u: np.ndarray, prob: Problem) -> np.ndarray:
     """
     x = np.zeros(u.shape)
     for ks, q, ranks in prob.od_blocks:
-        y = u[ks]
-        y = y - y.max()
+        y = u[ks]  # a copy, worked on in place
+        y -= y.max()
         s = np.sort(y)[::-1]
-        excess = np.add.accumulate(s) - q
+        excess = np.add.accumulate(s)
+        excess -= q
         keep = (s * ranks > excess)[::-1]  # s[0] = 0 > -q holds for finite u
         rho = keep.size - 1 - keep.argmax()
-        x[ks] = np.maximum(y - excess[rho] / (rho + 1), 0.0)
+        y -= excess[rho] / (rho + 1)
+        x[ks] = np.maximum(y, 0.0, out=y)
     return x
 
 
@@ -297,17 +329,18 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
 
     Starts from f0 projected onto the demand simplices (a warm start);
     without f0, from each OD's demand split equally over its routes (a
-    cold start).  Every so often an iteration tries a Newton step on the
-    used-route face and keeps it only if it lowers the natural residual
-    (see the module docstring): every solve tries at iteration 0, a kept
-    try is its iteration's step and the next iteration tries again, and a
-    rejected one is followed by an extra-gradient step and multiplies the
-    gap to the next try by NEWTON_BACKOFF.  Returns a result flagged
+    cold start).  A start that meets the stopping test START_MARGIN times
+    over is returned at once, after F's one evaluation (see the module
+    docstring).  Otherwise every so often an iteration tries a Newton step
+    on the used-route face and keeps it only if it lowers the natural
+    residual: the solve tries at iteration 0, a kept try is its
+    iteration's step and the next iteration tries again, and a rejected
+    one is followed by an extra-gradient step and multiplies the gap to
+    the next try by NEWTON_BACKOFF.  Returns a result flagged
     ``converged=False`` (stop reason "max_iter") if max_iter is
     exhausted; either way the last entries of its histories belong to
-    f_star.  Raises SolverError on NaN
-    or overflow and on step-size underflow, and DomainError outside the
-    model's domain.
+    f_star.  Raises SolverError on NaN or overflow and on step-size
+    underflow, and DomainError outside the model's domain.
 
     ``problem``, if given, is ``compile_problem(net, rs, p)`` (under any
     risk coefficient), so the solves of a lambda series compile once;
@@ -321,7 +354,6 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
         raise ValueError("problem was not compiled from this network, route set "
                          "and BPR form")
     prob = problem.with_risk(profile, kind)
-    total_q = prob.q.sum()
     if f0 is None:
         f0 = prob.lambda_inc.T @ (prob.q / np.maximum(prob.lambda_inc.sum(axis=1), 1.0))
     u = project(np.asarray(f0, dtype=float), prob)
@@ -338,8 +370,13 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
         if not stepped:  # a kept try left u - P(u - F(u)) in w
             w = u - project(u - Fu, prob)
         res = _scaled_max(w, u)
-        stepped = False
-        if it == next_try:
+        stepped = final = False
+        if it == 0 and res <= cfg.tol / START_MARGIN:
+            # a start that meets the stopping test START_MARGIN times over is
+            # final: it makes no try, and the stopping test reuses its gaps
+            od_gaps = _od_gaps(u, Fu, prob.od_routes, prob.q)
+            final = od_gaps[0].max(initial=0.0) <= GAP_TOL / START_MARGIN
+        if it == next_try and not final:
             step = _face_newton(u, Fu, w, prob.jacobian(v, sigma), prob)
             res_step = math.inf
             if step is not None:  # None: the face's KKT system was not finite
@@ -355,10 +392,10 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
         if it == 0:  # after iteration 0's try, so the step fits its F
             tau = 1.0 / (1.0 + np.abs(Fu).max())
         residuals.append(res)
-        antts.append(float(u @ mu / total_q) if total_q > 0 else 0.0)
+        antts.append(float(u @ mu / prob.total_q) if prob.total_q > 0 else 0.0)
         steps.append(tau)
-        # the result reuses the gaps when the solve stops at this point
-        od_gaps = _od_gaps(u, Fu, prob.od_routes, prob.q) if res <= cfg.tol else None
+        if not final:  # the result reuses the gaps when the solve stops here
+            od_gaps = _od_gaps(u, Fu, prob.od_routes, prob.q) if res <= cfg.tol else None
         converged = od_gaps is not None and od_gaps[0].max(initial=0.0) <= GAP_TOL
         if converged or it == cfg.max_iter - 1:
             break  # the histories end at f_star, converged or not
@@ -419,21 +456,18 @@ def _face_newton(u: np.ndarray, Fu: np.ndarray, w: np.ndarray, J: np.ndarray,
         if ks.size:
             eps = min(1e-3 * q, np.abs(w[ks]).max())
             free[ks] = (u[ks] > eps) | (Fu[ks] <= Fu[ks].min())
-    # the whole face, as in 582 of the stand-in sweep's 628 tries: J, F and
-    # Lambda as they are, since gathering them costs 7-10 us on six routes
+    # the whole face, as in 229 of the stand-in sweep's 298 tries: J and F
+    # as they are and a copy of the compiled KKT matrix, since gathering
+    # them costs 7-10 us on six routes
     if free.all():
-        U, F_U, L = slice(None), Fu, prob.lambda_inc
+        U, F_U, K = slice(None), Fu, prob.kkt.copy()
     else:
         U = np.flatnonzero(free)
-        J, F_U, L = J[np.ix_(U, U)], Fu[U], prob.lambda_inc[:, U]
-    if not np.isfinite(J).all():  # L is 0/1, so this is the KKT matrix's test
+        J, F_U, K = J[np.ix_(U, U)], Fu[U], _kkt(prob.lambda_inc[:, U])
+    if not np.isfinite(J).all():  # Lambda is 0/1, so this is the KKT matrix's test
         return None
-    L = L[L.any(axis=1)]
     m = F_U.size
-    K = np.zeros((m + len(L), m + len(L)))
     K[:m, :m] = J
-    K[:m, m:] = -L.T
-    K[m:, :m] = L
     rhs = np.zeros(len(K))
     rhs[:m] = -F_U
     d = -u

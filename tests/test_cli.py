@@ -160,6 +160,14 @@ def test_routeless_od_exit_code(tmp_path, capsys):
     assert "no route" in capsys.readouterr().err
 
 
+def test_od_listed_twice_with_explicit_routes_solves(tmp_path, capsys):
+    net = tmp_path / "twice.net"
+    net.write_text("[links]\n1 1 2 10 1000 0.8\n2 1 2 12 1000 0.8\n"
+                   "[od]\n1 2 500\n1 2 300\n[routes]\n1\n2\n")
+    assert main(["solve", "--network", str(net)]) == 0
+    assert "converged=True" in capsys.readouterr().out
+
+
 def test_route_with_missing_link_exit_code(tmp_path, capsys):
     net = tmp_path / "missing_link.net"
     net.write_text("[links]\n1 1 2 10 1000 0.8\n2 1 2 12 1000 0.8\n"

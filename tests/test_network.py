@@ -92,6 +92,15 @@ class TestLoadNetwork:
         rs = build_route_set(net)
         assert [r.link_ids for r in rs.routes] == [(1, 4, 9, 12, 13), (2, 6, 10, 12, 13)]
 
+    def test_od_pair_listed_twice_gets_each_explicit_route_twice(self):
+        # each listing has its own routes, with or without [routes]
+        doc = ("[links]\n1 1 2 10 1000 0.8\n2 1 2 12 1000 0.8\n"
+               "[od]\n1 2 500\n1 2 300\n")
+        explicit = build_route_set(load_network(doc + "[routes]\n1\n2\n"))
+        assert [(r.od_index, r.link_ids) for r in explicit.routes] == [
+            (0, (1,)), (0, (2,)), (1, (1,)), (1, (2,))]
+        assert_same_route_set(explicit, enumerate_routes(load_network(doc)))
+
 
 @st.composite
 def small_networks(draw):
@@ -112,7 +121,20 @@ def small_networks(draw):
     return Network(links, tuple(ODPair(o, d, 100.0) for o, d in ods))
 
 
+def assert_same_route_set(a, b):
+    assert a.routes == b.routes
+    assert np.array_equal(a.delta, b.delta)
+    assert np.array_equal(a.lambda_inc, b.lambda_inc)
+
+
 class TestEnumerateRoutes:
+    @given(small_networks())
+    def test_explicit_enumerated_routes_give_the_same_route_set(self, net):
+        # the enumerated link sequences as [routes] rows, each row once
+        rs = enumerate_routes(net)
+        rows = tuple(dict.fromkeys(r.link_ids for r in rs.routes))
+        assert_same_route_set(build_route_set(replace(net, preset_routes=rows)), rs)
+
     @given(small_networks())
     def test_every_route_is_a_simple_path_of_its_od_pair(self, net):
         # what build_route_set relies on instead of checking each route again

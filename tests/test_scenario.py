@@ -154,6 +154,30 @@ class TestContinuation:
         assert len(self.cell((0.7, self.THETA))) == len(self.LAMBDAS)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("lambdas", [(0.0, 0.5, 0.2), (1.0, 0.9, 0.5),
+                                         (0.5, 0.6, 0.6), (0.5, 0.5, 0.6)],
+                             ids=["step_back", "step_widens", "repeat", "repeat_first"])
+    def test_start_falls_back_to_the_last_flows(self, lambdas):
+        # a step back (unsorted), a step wider than the last (here descending)
+        # or a repeated lambda starts from the last converged flows; an evenly
+        # spaced series starts from the secant
+        def starts(lambdas):
+            sc = Scenario(lambda_grid=lambdas, demand_grid=(self.DEMAND,),
+                          theta_grid=(self.THETA,), solver=FAST_SOLVER)
+            results, rows, err = recorded_sweep(standin_network(), sc, f0s)
+            assert err is None and all(r.converged for r in results)
+            return results
+
+        f0s = []
+        results = starts(lambdas)
+        assert f0s[0] is None
+        assert np.array_equal(f0s[1], results[0].f_star)
+        assert np.array_equal(f0s[2], results[1].f_star)
+        f0s.clear()
+        results = starts((0.4, 0.5, 0.6))
+        f_a, f_b = results[0].f_star, results[1].f_star
+        assert f0s[2] == pytest.approx(2 * f_b - f_a, rel=1e-12)
+
     def test_warm_rows_converge_after_the_newton_step(self):
         rows = self.cell((self.THETA,))
         for row in rows[1:]:
@@ -161,13 +185,16 @@ class TestContinuation:
             assert row.iterations <= 3
 
 
-def recorded_sweep(net, sc):
+def recorded_sweep(net, sc, f0s=None):
     """``run_scenario``'s solve results in order, its rows (None if a
-    solve raised DomainError or SolverError) and that error."""
+    solve raised DomainError or SolverError) and that error; each solve's
+    start is appended to f0s if given."""
     results = []
     solve = cmte.scenario.extragradient_solve
 
     def recording(*args, **kwargs):
+        if f0s is not None:
+            f0s.append(kwargs["f0"])
         results.append(solve(*args, **kwargs))
         return results[-1]
 
@@ -181,16 +208,25 @@ def recorded_sweep(net, sc):
 
 def fresh_chain(net, sc):
     """The solves of ``run_scenario`` in order, each compiling its own
-    problem, warm-started from the last converged flows of its cell; and
-    the DomainError or SolverError that ended them, if one did."""
+    problem; and the DomainError or SolverError that ended them, if one
+    did.  A cell's first solve starts cold, and each later one from the
+    cell's last two converged solves (lam_a, f_a), (lam_b, f_b): from the
+    secant f_b + r (f_b - f_a), r = (lam - lam_b) / (lam_b - lam_a), when
+    0 < r <= 1 (up to rounding of the lambda differences), else from f_b."""
     rs = build_route_set(net)
     results = []
     for theta in sc.theta_grid:
         for q in sc.demand_grid:
             point = net.with_uniform_theta(theta).with_scaled_demand(
                 q / net.total_demand())
-            f0 = None
+            converged = []
             for lam in sc.lambda_grid:
+                f0 = converged[-1][1] if converged else None
+                if len(converged) >= 2 and converged[-2][0] != converged[-1][0]:
+                    (lam_a, f_a), (lam_b, f_b) = converged[-2:]
+                    r = (lam - lam_b) / (lam_b - lam_a)
+                    if 0.0 < r <= 1.0 + 1e-9:
+                        f0 = f_b + r * (f_b - f_a)
                 try:
                     res = extragradient_solve(point, rs, sc.bpr, RiskProfile(sc.alpha, lam),
                                               sc.solver, f0=f0)
@@ -198,7 +234,7 @@ def fresh_chain(net, sc):
                     return results, exc
                 results.append(res)
                 if res.converged:
-                    f0 = res.f_star
+                    converged.append((lam, res.f_star))
     return results, None
 
 

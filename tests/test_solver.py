@@ -11,9 +11,10 @@ from cmte.network import Link, Network, ODPair, build_route_set, check_feasible,
 from cmte.presets import parallel_links_network, standin_network, three_route_toy
 import cmte.bpr
 import cmte.solver
-from cmte.solver import (GAP_TOL, DomainError, Problem, SolverConfig, SolverError,
-                         _face_newton, assemble_F, compile_problem, extragradient_solve,
-                         natural_residual, project, route_costs, wardrop_check)
+from cmte.solver import (GAP_TOL, START_MARGIN, DomainError, Problem, SolverConfig,
+                         SolverError, _face_newton, assemble_F, compile_problem,
+                         extragradient_solve, natural_residual, project, route_costs,
+                         wardrop_check)
 
 P = BprParams()
 PROFILE = RiskProfile(0.9, 0.5)
@@ -173,7 +174,7 @@ class TestProject:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_matches_the_plain_loop(self, data):
-        # explicit routes may interleave OD pairs, so some blocks are not slices
+        # explicit routes in any order within each OD pair
         counts = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
         demands = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e4)),
                                      min_size=len(counts), max_size=len(counts)))
@@ -437,15 +438,33 @@ class TestNewtonWarmStart:
         assert res.converged and res.newton_tried == 0
 
     def test_step_that_does_not_help_is_dropped(self):
-        # at an exact solution the residual cannot fall: the start point stays
+        # a start that meets tol but not START_MARGIN times over is tried;
+        # with the narrow link's cost this flat the step overshoots, so it
+        # does not lower the residual and the start point stays
+        net = Network((Link(1, 1, 2, 10.0, 100.0, 0.8), Link(2, 1, 2, 10.0, 5000.0, 0.8)),
+                      (ODPair(1, 2, 400.0),))
+        rs, prob = compiled(net)
+        u = np.array([1.0, 399.0])
+        F, *_ = assemble_F(u, prob)
+        cfg = SolverConfig(tol=1e-6)
+        assert cfg.tol / START_MARGIN < natural_residual(u, F, prob) <= cfg.tol
+        res = extragradient_solve(net, rs, P, PROFILE, cfg, f0=u)
+        assert (res.newton_tried, res.newton_kept) == (1, 0)
+        assert np.array_equal(res.f_star, u) and res.iterations == 1
+
+    def test_final_start_makes_no_try(self):
+        # an exact solution meets the stopping test with any margin: the
+        # solve returns its projected start after F's one evaluation
         net = parallel_links_network(n_links=2, demand=2000.0)
         rs, prob = compiled(net)
         u = np.array([1000.0, 1000.0])
         F, *_ = assemble_F(u, prob)
         assert natural_residual(u, F, prob) == 0.0
         res = extragradient_solve(net, rs, P, PROFILE, f0=u)
-        assert (res.newton_tried, res.newton_kept) == (1, 0)
-        assert np.array_equal(res.f_star, u) and res.iterations == 1
+        assert (res.iterations, res.newton_tried, res.f_evals) == (1, 0, 1)
+        assert res.converged and res.stop_reason == "converged"
+        assert np.array_equal(res.f_star, project(u, prob))
+        assert res.residual_history.tolist() == [0.0]
 
     def test_cold_start_tries_at_iteration_0(self):
         # a cold solve tries a face-Newton step from the equal split at once
@@ -512,8 +531,10 @@ class TestFaceNewtonSchedule:
         net = standin_network()
         rs = build_route_set(net)
         cold = extragradient_solve(net, rs, P, PROFILE, SolverConfig(max_iter=3))
+        # another lambda's solution misses START_MARGIN, so it is tried
+        other = extragradient_solve(net, rs, P, RiskProfile(0.9, 0.4)).f_star
         warm = extragradient_solve(net, rs, P, PROFILE, SolverConfig(max_iter=1),
-                                   f0=cold.f_star)
+                                   f0=other)
         assert cold.newton_tried == 3  # from the equal split on, each one kept
         assert warm.newton_tried == 1
 
