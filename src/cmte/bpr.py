@@ -16,8 +16,8 @@ linear terms, so nothing cancels anywhere in theta in (0, 1]: theta = 1
 (x = 0) gives plain BPR and zero variance with no branch.  n runs from 2
 to N_MAX = 519, the largest n whose coefficients fit a float.
 ``link_coefficients`` computes (t0, a_mean, a_var) for a tuple of links
-at once; every other function here, and the solver's compiled problem,
-reads its output.
+at once, and rejects any that is not finite (:class:`DomainError`); every
+other function here, and the solver's compiled problem, reads its output.
 
 Route moments aggregate link moments under independence: means add,
 variances add, sigma = sqrt of the variance sum.
@@ -34,14 +34,19 @@ import numpy as np
 
 from .network import Link, Network, RouteSet
 
-__all__ = ["BprParams", "RouteMoments", "bpr_time", "link_coefficients", "link_mean",
-           "link_var", "link_moments_vector", "route_moments"]
+__all__ = ["BprParams", "DomainError", "RouteMoments", "bpr_time", "link_coefficients",
+           "link_mean", "link_var", "link_moments_vector", "route_moments"]
 
 # The largest exponent whose ``_variance_polynomial`` fits a float.  n = 520
 # overflows, and so does every larger n: for n >= 6 the largest coefficient
 # lies between b / 2 and b, with b = comb(2n, n) / (2n - 1), and b grows by a
 # factor 2 (2n - 1) / (n + 1), about 4, from n to n + 1.
 N_MAX = 519
+
+
+class DomainError(ValueError):
+    """An input outside the model's domain: a link coefficient that is not
+    finite, or an index not guaranteed positive and nondecreasing."""
 
 
 @dataclass(frozen=True)
@@ -103,14 +108,23 @@ def _variance_polynomial(n: int) -> tuple[float, ...]:
 
 
 def link_coefficients(links: tuple[Link, ...], p: BprParams):
-    """Per-link arrays (t0, a_mean, a_var) of the moment polynomials."""
+    """Per-link arrays (t0, a_mean, a_var) of the moment polynomials, all finite."""
     t0, cap, theta = np.array([(l.t0, l.cap_design, l.theta) for l in links],
                               dtype=float).reshape(-1, 3).T
-    with np.errstate(over="ignore"):  # an overflow reads inf, rejected by the solver
+    # an overflow, a division by an underflowed power or inf * 0 reads
+    # inf or NaN, which the check below rejects
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         scale = p.beta * t0 / cap ** p.n
         m_n = (theta[:, None] ** -np.arange(1, p.n)).sum(axis=1) / (p.n - 1)
         x = (1.0 - theta) / theta  # 1 - theta is exact for theta >= 1/2
-        return t0, scale * m_n, scale ** 2 * np.polyval(_variance_polynomial(p.n), x)
+        a_mean, a_var = scale * m_n, scale ** 2 * np.polyval(_variance_polynomial(p.n), x)
+    bad = np.flatnonzero(~(np.isfinite(a_mean) & np.isfinite(a_var)))
+    if bad.size:
+        i = bad[0]
+        raise DomainError(
+            f"moment coefficients of link {links[i].id} are not finite: t0 "
+            f"{t0[i]:.6g}, mean {a_mean[i]:.6g}, variance {a_var[i]:.6g}")
+    return t0, a_mean, a_var
 
 
 def link_mean(link: Link, v, p: BprParams):

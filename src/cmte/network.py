@@ -184,14 +184,6 @@ class RouteSet:
     def n_routes(self) -> int:
         return len(self.routes)
 
-    @cached_property
-    def od_routes(self) -> tuple[np.ndarray, ...]:
-        """Route indices of each OD pair (rows of ``lambda_inc``), read-only."""
-        out = tuple(np.flatnonzero(row) for row in self.lambda_inc)
-        for ks in out:
-            ks.flags.writeable = False
-        return out
-
 
 @dataclass(frozen=True)
 class FeasibilityReport:

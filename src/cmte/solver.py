@@ -16,15 +16,15 @@ the multiplier of its demand constraint, is read off the final flows
 
 A solve reads its inputs as one :class:`Problem` (link coefficients
 from ``bpr.link_coefficients``, delta, Lambda, Q, the risk coefficient
-c, each OD pair's routes, the KKT matrix of a face-Newton step on all
-routes), which ``compile_problem`` builds.  Only c depends on the risk
-profile: ``Problem.with_risk`` sets it, so a caller that solves one
-network under many profiles, such as a sweep cell's lambda series,
-compiles once and hands the problem to each solve
+c, each OD pair's routes read off Lambda, the KKT matrix of a face-Newton
+step on all routes), which ``compile_problem`` builds.  Only c depends
+on the risk profile: ``Problem.with_risk`` sets it, so a caller that
+solves one network under many profiles, such as a sweep cell's lambda
+series, compiles once and hands the problem to each solve
 (``extragradient_solve(..., problem=)``); without one, a solve compiles
 its own.  Setting c rejects points where the index could fall as flow
-rises (:class:`DomainError`), and compiling rejects link coefficients
-that are not finite.
+rises (:class:`DomainError`), and ``bpr.link_coefficients`` rejects link
+coefficients that are not finite.
 
 The solver is the classic two-projection extra-gradient iteration with
 backtracking on the step size, so no Lipschitz constant is needed up
@@ -86,7 +86,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bpr import BprParams, link_coefficients, route_moments
+from .bpr import BprParams, DomainError, link_coefficients, route_moments
 from .indices import IndexKind, RiskProfile, risk_coefficient
 from .network import Link, Network, RouteSet, link_flows
 
@@ -115,10 +115,6 @@ class SolverError(RuntimeError):
         super().__init__(message)
         self.reason = reason
         self.residual_history = residual_history
-
-
-class DomainError(ValueError):
-    """A point where the index is not guaranteed positive and nondecreasing."""
 
 
 @dataclass(frozen=True)
@@ -167,12 +163,9 @@ class Problem:
     a_mean: np.ndarray      # (|A|,) E[T_a] = t0 + a_mean * v^n
     a_var: np.ndarray       # (|A|,) Var[T_a] = a_var * v^(2n)
     n: int
-    n_a_mean: np.ndarray    # n * a_mean and n * a_var, for ``jacobian``
-    n_a_var: np.ndarray
     delta: np.ndarray       # (|A|, m) link-route incidence
     lambda_inc: np.ndarray  # (w, m) OD-route incidence
     q: np.ndarray           # (w,) OD demands
-    total_q: float          # their sum
     c: float                # risk coefficient: psi = mu + c * sigma
     od_routes: tuple[np.ndarray, ...]  # route indices of each OD pair
     # per OD pair with positive demand: its route indices, its demand and the
@@ -226,10 +219,15 @@ class Problem:
         delta^T diag(n a_var v^(2n-1)) delta, whose row k is divided by
         sigma_k (rows with sigma_k = 0 read 0)."""
         n, delta = self.n, self.delta
-        j_mu = delta.T @ ((self.n_a_mean * v ** (n - 1))[:, None] * delta)
-        j_var = delta.T @ ((self.n_a_var * v ** (2 * n - 1))[:, None] * delta)
+        j_mu = delta.T @ ((n * self.a_mean * v ** (n - 1))[:, None] * delta)
+        j_var = delta.T @ ((n * self.a_var * v ** (2 * n - 1))[:, None] * delta)
         inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0.0)
         return j_mu + self.c * inv[:, None] * j_var
+
+
+def _od_routes(lambda_inc: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Route indices of each OD pair: its row's nonzero columns in Lambda."""
+    return tuple(np.flatnonzero(row) for row in lambda_inc)
 
 
 def _od_blocks(od_routes: tuple[np.ndarray, ...], q: np.ndarray) -> tuple:
@@ -252,22 +250,15 @@ def compile_problem(net: Network, rs: RouteSet, p: BprParams) -> Problem:
     """Compile a solve's network, route set and BPR form into arrays, with
     c = 0 (the mean index); ``Problem.with_risk`` sets c.
 
-    Raises DomainError unless every link's coefficients are finite (a
-    degradation degree or capacity so small that they overflow is outside
-    the model's domain).
+    Raises DomainError unless every link's coefficients are finite
+    (``bpr.link_coefficients``).
     """
     t0, a_mean, a_var = link_coefficients(net.links, p)
-    bad = np.flatnonzero(~(np.isfinite(t0) & np.isfinite(a_mean) & np.isfinite(a_var)))
-    if bad.size:
-        i = bad[0]
-        raise DomainError(
-            f"moment coefficients of link {net.links[i].id} are not finite: t0 "
-            f"{t0[i]:.6g}, mean {a_mean[i]:.6g}, variance {a_var[i]:.6g}")
     q = np.array([od.demand for od in net.od_pairs], dtype=float)
-    return Problem(t0=t0, a_mean=a_mean, a_var=a_var, n=p.n, n_a_mean=p.n * a_mean,
-                   n_a_var=p.n * a_var, delta=rs.delta, lambda_inc=rs.lambda_inc, q=q,
-                   total_q=q.sum(), c=0.0, od_routes=rs.od_routes,
-                   od_blocks=_od_blocks(rs.od_routes, q), kkt=_kkt(rs.lambda_inc),
+    od_routes = _od_routes(rs.lambda_inc)
+    return Problem(t0=t0, a_mean=a_mean, a_var=a_var, n=p.n, delta=rs.delta,
+                   lambda_inc=rs.lambda_inc, q=q, c=0.0, od_routes=od_routes,
+                   od_blocks=_od_blocks(od_routes, q), kkt=_kkt(rs.lambda_inc),
                    links=net.links, bpr=p)
 
 
@@ -357,6 +348,7 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
     if f0 is None:
         f0 = prob.lambda_inc.T @ (prob.q / np.maximum(prob.lambda_inc.sum(axis=1), 1.0))
     u = project(np.asarray(f0, dtype=float), prob)
+    total_q = prob.q.sum()
     Fu, mu, v, sigma = assemble_F(u, prob)
     f_evals, backtracks, tried, kept, gap, next_try = 1, 0, 0, 0, 1, 0
     residuals, antts, steps = [], [], []
@@ -392,7 +384,7 @@ def extragradient_solve(net: Network, rs: RouteSet, p: BprParams,
         if it == 0:  # after iteration 0's try, so the step fits its F
             tau = 1.0 / (1.0 + np.abs(Fu).max())
         residuals.append(res)
-        antts.append(float(u @ mu / prob.total_q) if prob.total_q > 0 else 0.0)
+        antts.append(float(u @ mu / total_q) if total_q > 0 else 0.0)
         steps.append(tau)
         if not final:  # the result reuses the gaps when the solve stops here
             od_gaps = _od_gaps(u, Fu, prob.od_routes, prob.q) if res <= cfg.tol else None
@@ -456,7 +448,7 @@ def _face_newton(u: np.ndarray, Fu: np.ndarray, w: np.ndarray, J: np.ndarray,
         if ks.size:
             eps = min(1e-3 * q, np.abs(w[ks]).max())
             free[ks] = (u[ks] > eps) | (Fu[ks] <= Fu[ks].min())
-    # the whole face, as in 229 of the stand-in sweep's 298 tries: J and F
+    # the whole face, as in 278 of the stand-in sweep's 298 tries: J and F
     # as they are and a copy of the compiled KKT matrix, since gathering
     # them costs 7-10 us on six routes
     if free.all():
@@ -502,6 +494,6 @@ def wardrop_check(result: EquilibriumResult, net: Network, rs: RouteSet,
     the minimum, which is taken over all of the OD's routes.
     """
     gaps, min_costs = _od_gaps(result.f_star, result.cmtt_per_route,
-                               rs.od_routes,
+                               _od_routes(rs.lambda_inc),
                                np.array([od.demand for od in net.od_pairs]))
     return WardropReport(bool(np.all(gaps <= rel_tol)), gaps, min_costs)

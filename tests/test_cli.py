@@ -217,6 +217,25 @@ def test_non_finite_coefficients_exit_code(tmp_path, capsys):
     assert "not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_underflowing_capacity_is_a_config_error(tmp_path, capsys, command):
+    # 1e-300 ** 4 underflows to 0, so the coefficients divide by zero: both
+    # commands stop at them with one line, verify before it samples, where
+    # it once printed NaN closed forms and failed claims
+    net = tmp_path / "tiny_cap.net"
+    net.write_text("[links]\n1 1 2 10 1e-300 0.8\n2 1 2 12 1000 0.8\n[od]\n1 2 400\n")
+    argv = [command, "--network", str(net)]
+    if command == "verify":
+        argv += ["--samples", "10000"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: moment coefficients of link 1 are not finite: "
+                            "t0 10, mean inf, variance inf\n")
+    assert captured.out == ""
+
+
 _TOY_LINKS = "[links]\n1 1 2 10 500 0.8\n2 1 2 12 600 0.8\n"
 
 

@@ -189,16 +189,6 @@ class TestEnumerateRoutes:
         assert rs.delta.shape == (13, 6)
         assert np.all(rs.lambda_inc.sum(axis=0) == 1.0)
 
-    def test_od_routes_cached_per_route_set(self):
-        rs = build_route_set(load_network(standin_network_text() + "\n[od]\n3 9 800\n"))
-        assert [ks.tolist() for ks in rs.od_routes] == [
-            np.flatnonzero(row).tolist() for row in rs.lambda_inc]
-        assert rs.od_routes is rs.od_routes
-        swapped = replace(rs, lambda_inc=rs.lambda_inc[::-1])
-        assert swapped.od_routes is not rs.od_routes
-        assert [ks.tolist() for ks in swapped.od_routes] == [
-            ks.tolist() for ks in rs.od_routes[::-1]]
-
 
 class TestLinkById:
     def test_finds_every_link(self):

@@ -7,14 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from cmte.bpr import BprParams, route_moments
 from cmte.indices import IndexKind, RiskProfile, risk_coefficient
-from cmte.network import Link, Network, ODPair, build_route_set, check_feasible, link_flows
-from cmte.presets import parallel_links_network, standin_network, three_route_toy
+from cmte.network import (Link, Network, ODPair, build_route_set, check_feasible, link_flows,
+                          load_network)
+from cmte.presets import (parallel_links_network, standin_network, standin_network_text,
+                          three_route_toy)
 import cmte.bpr
 import cmte.solver
-from cmte.solver import (GAP_TOL, START_MARGIN, DomainError, Problem, SolverConfig,
-                         SolverError, _face_newton, assemble_F, compile_problem,
-                         extragradient_solve, natural_residual, project, route_costs,
-                         wardrop_check)
+from cmte.solver import (GAP_TOL, NEWTON_RCOND, START_MARGIN, DomainError, Problem,
+                         SolverConfig, SolverError, _face_newton, _kkt, assemble_F,
+                         compile_problem, extragradient_solve, natural_residual,
+                         project, route_costs, wardrop_check)
 
 P = BprParams()
 PROFILE = RiskProfile(0.9, 0.5)
@@ -105,6 +107,20 @@ class TestSolverConfig:
     def test_max_iter_below_one_rejected(self, max_iter):
         with pytest.raises(ValueError, match="max_iter"):
             SolverConfig(max_iter=max_iter)
+
+
+class TestCompileProblem:
+    def test_od_routes_follow_lambda_inc(self):
+        # each OD pair's route indices are the nonzero columns of its row of
+        # the route set's OD-route incidence, whatever order the rows are in
+        net = load_network(standin_network_text() + "\n[od]\n3 9 800\n")
+        rs = build_route_set(net)
+        routes = [ks.tolist() for ks in compile_problem(net, rs, P).od_routes]
+        assert routes == [[0, 1, 2, 3, 4, 5], [6, 7, 8]]
+        assert routes == [np.flatnonzero(row).tolist() for row in rs.lambda_inc]
+        swapped = replace(rs, lambda_inc=rs.lambda_inc[::-1])
+        assert [ks.tolist() for ks in compile_problem(net, swapped, P).od_routes] == (
+            routes[::-1])
 
 
 class TestJacobian:
@@ -289,9 +305,13 @@ class TestDomain:
         assert prob.c == 0.0
         assert prob.with_risk(PROFILE).c == risk_coefficient(IndexKind.CMTT, PROFILE)
 
-    @pytest.mark.parametrize("theta, cap", [(1e-300, 1000.0), (0.8, 1e-80)])
+    @pytest.mark.parametrize("theta, cap", [(1e-300, 1000.0), (0.8, 1e-80), (0.8, 1e-300),
+                                            (1.0, 1e-300)])
     def test_non_finite_coefficients_rejected(self, theta, cap):
-        # both overflow the moment coefficients; a NaN must not reach the solve
+        # each overflows the moment coefficients (1e-300 ** 4 underflows to 0
+        # and divides by it; at theta = 1 the variance is then inf * 0); a NaN
+        # must not reach the solve, and no numpy warning may escape (the
+        # suite turns them into errors)
         net = Network((Link(1, 1, 2, 10.0, cap, theta), Link(2, 1, 2, 12.0, 600.0, 0.8)),
                       (ODPair(1, 2, 1000.0),))
         with pytest.raises(DomainError, match="link 1 are not finite"):
@@ -436,6 +456,27 @@ class TestNewtonWarmStart:
                                 prob) is None
             res = extragradient_solve(net, rs, P, PROFILE, f0=u)
         assert res.converged and res.newton_tried == 0
+
+    @pytest.mark.parametrize("network", [standin_network, lambda: TestTwoOdSolve.NET],
+                             ids=["standin", "two_od"])
+    def test_whole_face_step_equals_the_gathered_one(self, network):
+        # with every route free, _face_newton copies the compiled KKT matrix
+        # and uses J and F as they are; gathering them over U = every route,
+        # as it does on a smaller face, must give the same step bit for bit
+        rs, prob = compiled(network())
+        u = rs.lambda_inc.T @ (prob.q / rs.lambda_inc.sum(axis=1))  # the equal split
+        F, _, v, sigma = assemble_F(u, prob)
+        w = u - project(u - F, prob)
+        assert np.all(u > np.abs(w).max())  # so every route is free
+        J = prob.jacobian(v, sigma)
+        U = np.arange(u.size)
+        K = _kkt(prob.lambda_inc[:, U])
+        K[:U.size, :U.size] = J[np.ix_(U, U)]
+        rhs = np.zeros(len(K))
+        rhs[:U.size] = -F[U]
+        d = -u
+        d[U] = np.linalg.lstsq(K, rhs, rcond=NEWTON_RCOND)[0][:U.size]
+        assert np.array_equal(_face_newton(u, F, w, J, prob)[0], project(u + d, prob))
 
     def test_step_that_does_not_help_is_dropped(self):
         # a start that meets tol but not START_MARGIN times over is tried;
